@@ -15,12 +15,13 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use qgraph_algo::{BfsProgram, PoiProgram, SsspProgram, WccProgram};
-use qgraph_core::programs::ReachProgram;
+use qgraph_core::programs::{PingProgram, ReachProgram};
 use qgraph_core::{
-    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, QueryId, SimEngine, SystemConfig,
-    ThreadEngine,
+    DopPolicy, Engine, EngineReport, QcutConfig, QueryHandle, QueryId, ServedBy, SimEngine,
+    SystemConfig, ThreadEngine,
 };
-use qgraph_graph::{Graph, GraphBuilder, MutationBatch, VertexId};
+use qgraph_graph::{Graph, GraphBuilder, MutationBatch, Topology, VertexId};
+use qgraph_index::{IndexConfig, LabelIndex};
 use qgraph_partition::{HashPartitioner, Partitioner};
 use qgraph_sim::ClusterModel;
 
@@ -287,6 +288,95 @@ proptest! {
             );
             check_pool_accounting(e.report(), w, 3, None);
         }
+    }
+}
+
+/// Everything the per-query ledger decides, beyond [`fingerprint`]: the
+/// pre-combine traffic, the DoP the budget bought, and the serving path.
+type LedgerRecord = (Fingerprint, Vec<(QueryId, u64, u32, ServedBy)>);
+
+fn ledger_record(report: &EngineReport) -> LedgerRecord {
+    let mut rest: Vec<_> = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.id,
+                o.remote_messages_pre_combine,
+                o.effective_dop,
+                o.served_by,
+            )
+        })
+        .collect();
+    rest.sort_unstable_by_key(|r| r.0);
+    (fingerprint(report), rest)
+}
+
+/// The phased workload plus the two admission shortcuts: with a label
+/// index installed the point SSSPs are index-served, and an empty ping
+/// ring has no initial messages.
+fn drive_ledger<E: Engine>(
+    e: &mut E,
+    mutate: &mut dyn FnMut(&mut E, MutationBatch),
+    g: &Arc<Graph>,
+    n: usize,
+    s: u32,
+    t: u32,
+) {
+    e.install_index(Box::new(LabelIndex::build(
+        &Topology::new(Arc::clone(g)),
+        IndexConfig::default(),
+    )));
+    drive(e, mutate, n, s, t, 2);
+    e.submit(PingProgram {
+        ring: Vec::new(),
+        rounds: 3,
+    });
+    e.submit(PingProgram {
+        ring: vec![VertexId(s % n as u32), VertexId(t % n as u32)],
+        rounds: 3,
+    });
+    e.run();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Cross-runtime ledger: the same mixed queries on `SimEngine` and
+    /// `ThreadEngine` (static Hash partitioning, Q-cut off, equal pool
+    /// width, one installed index) record the same per-query counters,
+    /// DoP and serving path — the bookkeeping is one decision, whichever
+    /// clock drives it.
+    #[test]
+    fn sim_and_thread_ledgers_agree(
+        (n, extra) in arb_graph(24),
+        s in 0u32..40,
+        t in 0u32..40,
+        pool_threads in 1usize..5,
+    ) {
+        let g = build_tagged(n, &extra);
+        let k = 3usize;
+        let cfg = SystemConfig { pool_threads, ..Default::default() };
+        let parts = HashPartitioner::default().partition(&g, k);
+        let mut sim = SimEngine::new(
+            Arc::clone(&g),
+            ClusterModel::scale_up(k),
+            parts.clone(),
+            cfg.clone(),
+        );
+        let mut mutate_sim = |e: &mut SimEngine, m: MutationBatch| e.mutate(m);
+        drive_ledger(&mut sim, &mut mutate_sim, &g, n, s, t);
+        let mut thr = ThreadEngine::with_config(Arc::clone(&g), parts, cfg);
+        let mut mutate_thread = |e: &mut ThreadEngine, m: MutationBatch| e.mutate(m);
+        drive_ledger(&mut thr, &mut mutate_thread, &g, n, s, t);
+        thr.shutdown();
+
+        let sim_ledger = ledger_record(sim.report());
+        prop_assert!(
+            sim_ledger.1.iter().any(|r| r.3 == ServedBy::Index),
+            "the workload must exercise the index path"
+        );
+        prop_assert_eq!(&ledger_record(thr.report()), &sim_ledger);
     }
 }
 
