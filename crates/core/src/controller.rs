@@ -282,42 +282,79 @@ impl Controller {
 }
 
 /// What one stop-the-world barrier's mutation phase did — the sim prices
-/// `ops`/`compacted_edges`, and both engines patch the barrier duration
-/// onto `report.mutations[events_from..]` once the barrier end is known.
+/// `ops`/`compacted_edges`, and both engines stamp the phase's spans
+/// ([`MutationApply::stamp`]) and its barrier duration
+/// ([`MutationApply::close`]) from their own clocks.
 pub(crate) struct MutationApply {
+    /// Batches applied (one graph epoch each).
+    pub batches: usize,
     /// Total ops applied across the barrier's batches.
     pub ops: usize,
     /// Live edges rebuilt into a fresh CSR, when the compaction policy
     /// fired.
     pub compacted_edges: Option<usize>,
     /// Index of the first `MutationEvent` this barrier appended.
-    pub events_from: usize,
+    events_from: usize,
+    /// Summed `(entries invalidated, roots rerun, partial roots)` of the
+    /// index repairs this barrier ran, if it ran any.
+    repair: Option<(u64, u64, u64)>,
+}
+
+impl MutationApply {
+    /// Stamp the phase on the tracer: the mutation window from `begin` to
+    /// `end`, the compaction and repair stages inside it.
+    pub fn stamp(&self, tracer: &crate::trace::Tracer, begin: f64, end: f64) {
+        if self.batches == 0 {
+            return;
+        }
+        tracer.mutation_begin(begin, self.batches as u64);
+        if self.compacted_edges.is_some() {
+            tracer.compaction(end);
+        }
+        if let Some((invalidated, reruns, resumes)) = self.repair {
+            tracer.repair_begin(begin);
+            tracer.repair_end(end, invalidated, reruns, resumes);
+        }
+        tracer.mutation_end(end, self.batches as u64);
+    }
+
+    /// Patch the whole barrier's duration onto this phase's events.
+    pub fn close(&self, report: &mut crate::report::EngineReport, barrier_duration: f64) {
+        for ev in &mut report.mutations[self.events_from..] {
+            ev.barrier_duration = barrier_duration;
+        }
+    }
 }
 
 /// The runtime-agnostic mutation-epoch body both engines run under their
 /// stop-the-world barriers: apply each due batch atomically (one graph
-/// epoch each, in order), extend the partitioning for created vertices,
-/// drop stale retained scopes, repair the installed label index (when
-/// `index` is `Some` — see [`crate::index_plane::PointIndex::repair`]),
-/// record `MutationEvent`s, and evaluate the compaction policy once at
-/// the end. The callers add what is theirs alone — the sim charges
-/// virtual cost from the returned totals, the thread runtime broadcasts
-/// the new `Arc<Topology>` to its workers.
+/// epoch each, in order, each published to the happens-before auditor
+/// before anything resumes), extend the partitioning for created
+/// vertices, drop stale retained scopes, repair the installed label
+/// index (when `index` is `Some` — see
+/// [`crate::index_plane::PointIndex::repair`]), record `MutationEvent`s,
+/// and evaluate the compaction policy once at the end. The callers add
+/// what is theirs alone — the sim charges virtual cost from the returned
+/// totals, the thread runtime broadcasts the new `Arc<Topology>` to its
+/// workers.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_mutation_epochs(
     topology: &mut Topology,
     partitioning: &mut Partitioning,
     controller: &mut Controller,
     report: &mut crate::report::EngineReport,
-    batches: &[MutationBatch],
+    hb: &crate::hb::Hb,
+    batches: Vec<MutationBatch>,
     compact_fraction: f64,
     applied_at_secs: f64,
     mut index: Option<&mut (dyn crate::index_plane::PointIndex + 'static)>,
 ) -> MutationApply {
     let events_from = report.mutations.len();
     let mut ops = 0usize;
-    for batch in batches {
+    let mut repair: Option<(u64, u64, u64)> = None;
+    for batch in &batches {
         let applied = topology.apply(batch);
+        hb.publish_topology(0, applied.epoch);
         place_new_vertices(partitioning, &applied);
         // Retained finished scopes touching mutated vertices carry
         // pre-mutation statistics: drop them before the next ILS.
@@ -327,6 +364,10 @@ pub(crate) fn apply_mutation_epochs(
         // an index valid for the graph it will run against.
         if let Some(ix) = index.as_mut() {
             let summary = ix.repair(topology, &applied, applied.epoch);
+            let sum = repair.get_or_insert((0, 0, 0));
+            sum.0 += summary.entries_invalidated as u64;
+            sum.1 += summary.roots_rerun as u64;
+            sum.2 += summary.partial_roots as u64;
             report
                 .index_repairs
                 .push(crate::index_plane::IndexRepairEvent {
@@ -358,9 +399,11 @@ pub(crate) fn apply_mutation_epochs(
         }
     }
     MutationApply {
+        batches: batches.len(),
         ops,
         compacted_edges,
         events_from,
+        repair,
     }
 }
 

@@ -42,16 +42,17 @@ use qgraph_sim::{ClusterModel, EventQueue, SimTime};
 
 use crate::barrier::{self, BarrierInput};
 use crate::config::{BarrierMode, SystemConfig};
+use crate::control::{record_outcome, Admission, Outputs, QueryLedger};
 use crate::controller::{apply_mutation_epochs, Controller};
 use crate::hb::{kind, Hb};
 use crate::index_plane::PointIndex;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, run_qcut, IlsResult};
-use crate::query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};
+use crate::query::{QueryHandle, QueryId, QueryOutcome, ServedBy};
 use crate::report::{ActivitySample, EngineReport, RepartitionEvent};
 use crate::sched::{Scheduler, Submission};
-use crate::task::{Envelope, QueryTask, TypedTask};
-use crate::trace::{cmd, outcome_code, Tracer};
+use crate::task::{QueryTask, TypedTask};
+use crate::trace::{cmd, Tracer};
 use crate::worker::Worker;
 
 #[derive(Clone, Debug)]
@@ -87,45 +88,18 @@ enum QueryStatus {
     Finished,
 }
 
-/// One submitted query: its erased task plus per-run bookkeeping. No
-/// program types appear here — aggregates travel as [`Envelope`]s.
+/// One submitted query: the shared ledger plus the sim's own virtual-time
+/// bookkeeping.
 struct QueryRun {
-    task: Arc<dyn QueryTask>,
+    ledger: QueryLedger,
     status: QueryStatus,
-    /// Arrival: when the query entered the admission queue.
-    queued_at: SimTime,
     /// Absolute deadline ([`crate::AdmissionPolicy::Deadline`]), if any.
     deadline: Option<SimTime>,
-    /// Admission: when a closed-loop slot freed and execution began.
-    submitted_at: SimTime,
-    /// Graph epoch at admission (outcome attribution).
-    first_epoch: u64,
-    iteration: u32,
-    local_iterations: u32,
-    vertex_updates: u64,
-    remote_messages: u64,
-    remote_messages_pre_combine: u64,
-    remote_batches: u64,
-    /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
-    /// at admission): at most this many of a superstep's per-partition
-    /// tasks run concurrently.
-    dop: usize,
-    /// Involved workers of the current superstep whose dispatch is held
-    /// back by the DoP budget; released one per completing task.
-    deferred: VecDeque<usize>,
-    /// Per-(query, partition) compute tasks dispatched so far.
-    tasks: u64,
-    /// Max over supersteps of `min(dop, involved)`.
-    effective_dop: u32,
-    // Per-superstep bookkeeping.
-    remaining: usize,
+    // Per-superstep virtual-time maxima and the barrier's involved set.
     involved_cur: Vec<usize>,
     compute_done_max: SimTime,
     msg_arrival_max: SimTime,
-    crossed: bool,
     last_done_raw: SimTime,
-    agg_prev: Envelope,
-    agg_acc: Envelope,
 }
 
 struct WorkerSched {
@@ -156,7 +130,7 @@ pub struct SimEngine {
     pool_tasks: u64,
     events: EventQueue<Event>,
     queries: Vec<QueryRun>,
-    outputs: Vec<Option<Envelope>>,
+    outputs: Outputs,
     /// The policy-ordered admission queue (arrived, not yet admitted).
     scheduler: Scheduler,
     in_flight: usize,
@@ -174,11 +148,11 @@ pub struct SimEngine {
     /// The ILS budget has elapsed: the pending plan may be applied at the
     /// next barrier's migration phase.
     plan_ready: bool,
-    /// Submitted mutation batches (taken when applied).
+    /// Submitted mutation batches (taken when due).
     mutations: Vec<Option<MutationBatch>>,
     /// Batches whose virtual application time has been reached, waiting
     /// for the stop-the-world barrier to apply them.
-    due_mutations: Vec<usize>,
+    due_mutations: Vec<MutationBatch>,
     /// The installed label index (the index plane): consulted at
     /// admission for eligible point queries, repaired at every mutation
     /// barrier.
@@ -289,7 +263,7 @@ impl SimEngine {
             pool_tasks: 0,
             events: EventQueue::new(),
             queries: Vec::new(),
-            outputs: Vec::new(),
+            outputs: Outputs::default(),
             in_flight: 0,
             paused: false,
             inflight_ready: 0,
@@ -363,32 +337,14 @@ impl SimEngine {
             .map(|d| arrival + SimTime::from_secs_f64(d));
         let program = task.program_name();
         self.queries.push(QueryRun {
-            agg_prev: task.aggregate_identity(),
-            agg_acc: task.aggregate_identity(),
-            task,
+            ledger: QueryLedger::new(task, arrival),
             status: QueryStatus::Queued,
-            queued_at: arrival,
             deadline,
-            submitted_at: SimTime::ZERO,
-            first_epoch: 0,
-            iteration: 0,
-            local_iterations: 0,
-            vertex_updates: 0,
-            remote_messages: 0,
-            remote_messages_pre_combine: 0,
-            remote_batches: 0,
-            dop: 1,
-            deferred: VecDeque::new(),
-            tasks: 0,
-            effective_dop: 0,
-            remaining: 0,
             involved_cur: Vec::new(),
             compute_done_max: SimTime::ZERO,
             msg_arrival_max: SimTime::ZERO,
-            crossed: false,
             last_done_raw: SimTime::ZERO,
         });
-        self.outputs.push(None);
         if submission.at_secs.is_some() && arrival > now {
             self.events.schedule(arrival, Event::Arrival { q: id });
         } else {
@@ -489,29 +445,24 @@ impl SimEngine {
 
     /// The output of a finished query, recovered through its typed handle.
     pub fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output> {
-        self.output_as::<P>(handle.id())
+        self.outputs.get::<P>(handle.id())
     }
 
     /// Typed output lookup by raw [`QueryId`] (for callers that index
     /// queries positionally); `None` if unfinished or if `P` is not the
     /// program type the query was submitted with.
     pub fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output> {
-        self.output_envelope(q)?.downcast_ref::<P::Output>()
+        self.outputs.get::<P>(q)
     }
 
     /// Erased output access (backs the [`crate::Engine`] trait).
     pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn std::any::Any + Send)> {
-        self.outputs.get(q.index())?.as_deref()
+        self.outputs.envelope(q)
     }
 
     /// Take ownership of a finished query's output.
     pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        let slot = self.outputs.get_mut(handle.id().index())?;
-        // Only take the envelope if it downcasts to the handle's type.
-        slot.as_ref()?.downcast_ref::<P::Output>()?;
-        slot.take()
-            .and_then(|b| b.downcast::<P::Output>().ok())
-            .map(|b| *b)
+        self.outputs.take::<P>(handle.id())
     }
 
     /// The measurement report (also returned by [`SimEngine::run`]).
@@ -571,13 +522,12 @@ impl SimEngine {
     /// resident one — `dispatch_pending` is gated on `paused`.
     fn on_arrival(&mut self, q: QueryId) {
         let run = &self.queries[q.index()];
-        self.tracer
-            .admitted(run.queued_at.as_secs_f64(), u64::from(q.0));
+        let at = run.ledger.queued_at;
+        self.tracer.admitted(at.as_secs_f64(), u64::from(q.0));
         if !self
             .scheduler
-            .push(q, run.task.program_name(), run.queued_at, run.deadline)
+            .push(q, run.ledger.task.program_name(), at, run.deadline)
         {
-            let at = run.queued_at;
             self.reject_query(at, q);
             return;
         }
@@ -590,16 +540,10 @@ impl SimEngine {
         let epoch = self.topology.epoch();
         let run = &mut self.queries[q.index()];
         debug_assert_eq!(run.status, QueryStatus::Queued);
-        debug_assert_eq!(run.queued_at, at, "rejections happen at arrival");
+        debug_assert_eq!(run.ledger.queued_at, at, "rejections happen at arrival");
         run.status = QueryStatus::Finished;
-        self.report.outcomes.push(QueryOutcome::rejected(
-            q,
-            run.task.program_name(),
-            at,
-            epoch,
-        ));
-        self.tracer
-            .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::REJECTED);
+        let outcome = QueryOutcome::rejected(q, run.ledger.task.program_name(), at, epoch);
+        record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
     }
 
     fn dispatch_pending(&mut self) {
@@ -613,104 +557,53 @@ impl SimEngine {
 
     fn start_query(&mut self, q: QueryId) {
         let now = self.events.now();
-        let task = Arc::clone(&self.queries[q.index()].task);
-
-        // Index fast path: an eligible point query admitted at epoch `e`
-        // is answered from the labels when the installed index is
-        // repaired through `e` — it completes at admission without
-        // occupying a closed-loop slot or touching a worker.
-        if let Some(output) = crate::sched::try_index_path(
-            task.as_ref(),
-            self.index.as_deref(),
-            self.topology.epoch(),
-        ) {
-            let epoch = self.topology.epoch();
-            self.hb.outcome_epoch(0, epoch);
-            let run = &mut self.queries[q.index()];
-            run.status = QueryStatus::Finished;
-            run.submitted_at = now;
-            run.first_epoch = epoch;
-            let outcome = QueryOutcome {
-                id: q,
-                program: task.program_name(),
-                status: OutcomeStatus::Completed,
-                served_by: ServedBy::Index,
-                queued_at: run.queued_at,
-                submitted_at: now,
-                completed_at: now,
-                iterations: 0,
-                local_iterations: 0,
-                vertex_updates: 0,
-                remote_messages: 0,
-                remote_messages_pre_combine: 0,
-                remote_batches: 0,
-                scope_size: 0,
-                tasks: 0,
-                effective_dop: 0,
-                first_epoch: epoch,
-                last_epoch: epoch,
-            };
-            self.outputs[q.index()] = Some(output);
-            self.report.outcomes.push(outcome);
-            self.tracer.outcome(
-                now.as_secs_f64(),
-                u64::from(q.0),
-                outcome_code::INDEX_SERVED,
-            );
-            return;
-        }
-
-        let batches = {
-            let partitioning = &self.partitioning;
-            let route = |v: VertexId| partitioning.worker_of(v).index();
-            task.initial_batches(&self.topology, &route, self.cfg.combiners)
-        };
-        let involved: Vec<usize> = batches.iter().map(|(w, _)| *w).collect();
-
-        // Admission fixes the query's DoP budget for its whole lifetime.
-        let dop = self.cfg.dop.budget(task.as_ref(), self.pool_width).max(1);
         let run = &mut self.queries[q.index()];
+        let admission = run.ledger.admit(
+            now,
+            &self.topology,
+            &self.partitioning,
+            self.index.as_deref(),
+            &self.cfg,
+            self.pool_width,
+        );
+        let batches = match admission {
+            // Index fast path: the query completes at admission without
+            // occupying a closed-loop slot or touching a worker.
+            Admission::Indexed(output) => {
+                run.status = QueryStatus::Finished;
+                let epoch = self.topology.epoch();
+                let outcome = run.ledger.outcome(q, ServedBy::Index, now, 0, epoch);
+                self.outputs.store(q, output);
+                record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
+                return;
+            }
+            Admission::Traverse(batches) => batches,
+        };
         run.status = QueryStatus::Running;
-        run.submitted_at = now;
-        run.first_epoch = self.topology.epoch();
         run.last_done_raw = now;
-        run.dop = dop;
         self.in_flight += 1;
-
-        if involved.is_empty() {
+        if batches.is_empty() {
             // A query with no initial messages completes immediately.
             self.complete_query(now, q);
             return;
         }
-        self.queries[q.index()].involved_cur = involved.clone();
-        self.queries[q.index()].remaining = involved.len();
-        self.queries[q.index()].compute_done_max = SimTime::ZERO;
-        self.queries[q.index()].msg_arrival_max = SimTime::ZERO;
-        self.queries[q.index()].crossed = false;
-        self.queries[q.index()].tasks = involved.len() as u64;
-        self.queries[q.index()].effective_dop = involved.len().min(dop) as u32;
-        if self.cfg.barrier_mode == BarrierMode::SharedGlobal {
-            self.round_outstanding += 1;
-        }
-
-        for (i, (w, batch)) in batches.into_iter().enumerate() {
+        let task = Arc::clone(&run.ledger.task);
+        let mut involved = Vec::with_capacity(batches.len());
+        for (w, batch) in batches {
             self.workers[w].deliver(task.as_ref(), q, batch);
-            // Freeze at submission: superstep 0's input is exactly the
-            // initial message set (deferred partitions included — BSP
-            // isolation is what makes budgeted execution output-identical).
-            self.workers[w].freeze(q);
-            if i < dop {
-                // executeQuery(q): controller → worker dispatch.
-                let at = now + self.cluster.control_cost_to_controller(w);
-                self.inflight_ready += 1;
-                self.hb.token_open(q.0, kind::READY);
-                self.events.schedule(at, Event::TaskReady { q, w });
-            } else {
-                self.tracer
-                    .defer(now.as_secs_f64(), u64::from(q.0), w as u32);
-                self.queries[q.index()].deferred.push_back(w);
-            }
+            involved.push(w);
         }
+        // executeQuery(q): controller → worker dispatch.
+        self.release(now, q, involved, true);
+    }
+
+    /// Price one controller → worker dispatch of query `q`'s superstep on
+    /// worker `w`: a `TaskReady` after the control hop.
+    fn dispatch(&mut self, now: SimTime, q: QueryId, w: usize) {
+        let at = now + self.cluster.control_cost_to_controller(w);
+        self.inflight_ready += 1;
+        self.hb.token_open(q.0, kind::READY);
+        self.events.schedule(at, Event::TaskReady { q, w });
     }
 
     // ------------------------------------------------------------------
@@ -769,12 +662,17 @@ impl SimEngine {
 
         // Split borrows: the routing closure reads the partitioning while
         // the worker is mutated.
-        let task = Arc::clone(&self.queries[q.index()].task);
+        let task = Arc::clone(&self.queries[q.index()].ledger.task);
         let run = &self.queries[q.index()];
         let partitioning = &self.partitioning;
         let route = |v: VertexId| partitioning.worker_of(v).index();
-        let (stats, agg, remote) =
-            self.workers[w].execute(q, task.as_ref(), &self.topology, &run.agg_prev, &route);
+        let (stats, agg, remote) = self.workers[w].execute(
+            q,
+            task.as_ref(),
+            &self.topology,
+            &run.ledger.agg_prev,
+            &route,
+        );
 
         self.report.activity.push(ActivitySample {
             t: now.as_secs_f64(),
@@ -797,16 +695,10 @@ impl SimEngine {
         }
 
         let run = &mut self.queries[q.index()];
-        run.vertex_updates += stats.executed as u64;
-        run.remote_messages += stats.remote_deliveries as u64;
-        run.remote_messages_pre_combine += stats.remote_pre_combine as u64;
-        run.remote_batches += stats.remote_batches as u64;
         run.compute_done_max = run.compute_done_max.max(sent_at);
         run.last_done_raw = run.last_done_raw.max(sent_at);
         run.msg_arrival_max = run.msg_arrival_max.max(msg_arrival_max);
-        run.crossed |= crossed;
-        task.aggregate_combine(&mut run.agg_acc, &agg);
-        run.remaining -= 1;
+        let next = run.ledger.task_done(&stats, &agg);
         self.pool_tasks += 1;
         self.tracer.task_end(
             now.as_secs_f64(),
@@ -819,19 +711,15 @@ impl SimEngine {
 
         // Elastic DoP: a finished task frees one unit of this query's
         // budget — release the next deferred partition, priced as a fresh
-        // controller→worker dispatch. This runs even mid STOP-barrier
-        // drain: the superstep must complete before the engine can
-        // quiesce, exactly like the pre-frozen tasks already queued.
-        if let Some(w_next) = self.queries[q.index()].deferred.pop_front() {
+        // controller→worker dispatch, exactly like the pre-frozen tasks
+        // already queued.
+        if let Some(w_next) = next {
             self.tracer
                 .defer_release(now.as_secs_f64(), u64::from(q.0), w_next as u32);
-            let at = now + self.cluster.control_cost_to_controller(w_next);
-            self.inflight_ready += 1;
-            self.hb.token_open(q.0, kind::READY);
-            self.events.schedule(at, Event::TaskReady { q, w: w_next });
+            self.dispatch(now, q, w_next);
         }
 
-        if self.queries[q.index()].remaining == 0 {
+        if self.queries[q.index()].ledger.remaining == 0 {
             self.on_superstep_complete(now, q);
         }
         if crossed {
@@ -907,18 +795,11 @@ impl SimEngine {
     // ------------------------------------------------------------------
 
     fn on_superstep_complete(&mut self, now: SimTime, q: QueryId) {
-        debug_assert!(
-            self.queries[q.index()].deferred.is_empty(),
-            "superstep barrier with deferred tasks unreleased"
-        );
         self.tracer
             .superstep_done(now.as_secs_f64(), u64::from(q.0));
-        let involved_next: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].has_pending(q))
-            .collect();
+        let involved_next = self.pending_workers(q);
 
         let run = &mut self.queries[q.index()];
-        let task = Arc::clone(&run.task);
         let decision = barrier::decide(
             &BarrierInput {
                 mode: self.cfg.barrier_mode,
@@ -926,23 +807,12 @@ impl SimEngine {
                 msg_arrival: run.msg_arrival_max,
                 involved_cur: &run.involved_cur,
                 involved_next: &involved_next,
-                crossed: run.crossed,
+                crossed: run.ledger.crossed,
                 stats_extra: !self.cfg.stats_piggyback,
             },
             &self.cluster,
         );
-
-        run.iteration += 1;
-        if decision.is_local {
-            run.local_iterations += 1;
-        }
-        let combined = std::mem::replace(&mut run.agg_acc, task.aggregate_identity());
-        if task.aggregate_sticky() {
-            task.aggregate_combine(&mut run.agg_prev, &combined);
-        } else {
-            run.agg_prev = combined;
-        }
-        let terminate = involved_next.is_empty() || task.should_terminate(&run.agg_prev);
+        let (_, terminate) = run.ledger.close_superstep(involved_next.is_empty());
 
         let shared = self.cfg.barrier_mode == BarrierMode::SharedGlobal;
         if shared {
@@ -967,6 +837,13 @@ impl SimEngine {
         self.maybe_trigger_qcut(now);
     }
 
+    /// The workers holding pending messages of query `q`.
+    fn pending_workers(&self, q: QueryId) -> Vec<usize> {
+        (0..self.workers.len())
+            .filter(|&w| self.workers[w].has_pending(q))
+            .collect()
+    }
+
     /// SharedGlobal mode: the cross-query round barrier fired — release
     /// every parked query at once.
     fn on_round_release(&mut self, now: SimTime) {
@@ -985,48 +862,50 @@ impl SimEngine {
         }
         // Re-derive the involved set: repartitioning may have migrated
         // pending messages while this release was deferred.
-        let involved: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].has_pending(q))
-            .collect();
+        let involved = self.pending_workers(q);
         if involved.is_empty() {
             self.complete_query(now, q);
             return;
         }
-        let dop = {
-            let run = &mut self.queries[q.index()];
-            run.involved_cur = involved.clone();
-            run.remaining = involved.len();
-            run.compute_done_max = SimTime::ZERO;
-            run.msg_arrival_max = SimTime::ZERO;
-            run.crossed = false;
-            run.tasks += involved.len() as u64;
-            run.effective_dop = run.effective_dop.max(involved.len().min(run.dop) as u32);
-            run.dop
-        };
+        self.release(now, q, involved, false);
+    }
+
+    /// Open query `q`'s next superstep on `involved`. All involved
+    /// workers freeze at the same release instant: the superstep's input
+    /// is sealed before any of them computes — including the partitions
+    /// the DoP budget holds back, which is why deferred execution stays
+    /// output-identical. Up to the budget then start: through a priced
+    /// controller dispatch at admission (`priced`), straight onto the
+    /// worker queues at a barrier release.
+    fn release(&mut self, now: SimTime, q: QueryId, involved: Vec<usize>, priced: bool) {
+        let run = &mut self.queries[q.index()];
+        let n = run.ledger.open_superstep(&involved);
+        run.compute_done_max = SimTime::ZERO;
+        run.msg_arrival_max = SimTime::ZERO;
         if self.cfg.barrier_mode == BarrierMode::SharedGlobal {
             self.round_outstanding += 1;
         }
-        for (i, w) in involved.into_iter().enumerate() {
-            // All involved workers freeze at the same release instant: the
-            // superstep's input is sealed before any of them computes —
-            // including the partitions the DoP budget holds back, which is
-            // why deferred execution stays output-identical.
+        for &w in &involved {
             self.workers[w].freeze(q);
-            if i < dop {
-                self.on_task_ready(q, w);
+        }
+        for &w in &involved[..n] {
+            if priced {
+                self.dispatch(now, q, w);
             } else {
-                self.tracer
-                    .defer(now.as_secs_f64(), u64::from(q.0), w as u32);
-                self.queries[q.index()].deferred.push_back(w);
+                self.on_task_ready(q, w);
             }
         }
+        for &w in &involved[n..] {
+            self.tracer
+                .defer(now.as_secs_f64(), u64::from(q.0), w as u32);
+        }
+        self.queries[q.index()].involved_cur = involved;
     }
 
     fn complete_query(&mut self, at: SimTime, q: QueryId) {
         let run = &mut self.queries[q.index()];
         debug_assert_ne!(run.status, QueryStatus::Finished);
         run.status = QueryStatus::Finished;
-        let task = Arc::clone(&run.task);
         self.in_flight -= 1;
 
         // Gather the locals the query touched, across workers; the scope
@@ -1040,34 +919,12 @@ impl SimEngine {
                 locals.push(local);
             }
         }
-        let run = &self.queries[q.index()];
-        // The outcome is stamped with the current epoch: that epoch's
-        // publication must be ordered before this point.
-        self.hb.outcome_epoch(0, self.topology.epoch());
-        let outcome = QueryOutcome {
-            id: q,
-            program: task.program_name(),
-            status: OutcomeStatus::Completed,
-            served_by: ServedBy::Traversal,
-            queued_at: run.queued_at,
-            submitted_at: run.submitted_at,
-            completed_at: at,
-            iterations: run.iteration,
-            local_iterations: run.local_iterations,
-            vertex_updates: run.vertex_updates,
-            remote_messages: run.remote_messages,
-            remote_messages_pre_combine: run.remote_messages_pre_combine,
-            remote_batches: run.remote_batches,
-            scope_size: scope.len() as u64,
-            tasks: run.tasks,
-            effective_dop: run.effective_dop,
-            first_epoch: run.first_epoch,
-            last_epoch: self.topology.epoch(),
-        };
-        self.outputs[q.index()] = Some(task.finalize(&self.topology, locals));
-        self.report.outcomes.push(outcome);
-        self.tracer
-            .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::COMPLETED);
+        let ledger = &self.queries[q.index()].ledger;
+        let epoch = self.topology.epoch();
+        let outcome = ledger.outcome(q, ServedBy::Traversal, at, scope.len() as u64, epoch);
+        self.outputs
+            .store(q, ledger.task.finalize(&self.topology, locals));
+        record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
         self.controller.record_finished_scope(q, scope, at);
         self.controller.expire(at);
         self.dispatch_pending();
@@ -1102,9 +959,11 @@ impl SimEngine {
         let mut sum = 0.0;
         let mut n = 0usize;
         for run in &self.queries {
-            if run.status == QueryStatus::Running && run.iteration > 0 {
-                sum += run.local_iterations as f64 / run.iteration as f64;
-                n += 1;
+            if let Some(l) = run.ledger.locality() {
+                if run.status == QueryStatus::Running {
+                    sum += l;
+                    n += 1;
+                }
             }
         }
         if n == 0 {
@@ -1175,7 +1034,8 @@ impl SimEngine {
     /// stop-the-world barrier. During an in-flight barrier the batch
     /// simply queues — the apply phase drains every due batch at once.
     fn on_mutation_due(&mut self, m: usize) {
-        self.due_mutations.push(m);
+        // Each batch falls due exactly once (one MutationDue per batch).
+        self.due_mutations.extend(self.mutations[m].take());
         if !self.paused {
             self.paused = true;
             self.awaiting_quiesce = true;
@@ -1201,65 +1061,28 @@ impl SimEngine {
 
         // Phase 1: mutation epochs, in submission order (the shared
         // barrier body — see `controller::apply_mutation_epochs`).
-        let batches: Vec<MutationBatch> = std::mem::take(&mut self.due_mutations)
-            .into_iter()
-            .filter_map(|m| {
-                let batch = self.mutations[m].take();
-                // Each due index is pushed exactly once (on MutationDue),
-                // so its slot is still full here.
-                debug_assert!(batch.is_some(), "mutation batch {m} applied twice");
-                batch
-            })
-            .collect();
-        let epoch_before = self.topology.epoch();
-        if !batches.is_empty() {
-            self.tracer
-                .mutation_begin(now.as_secs_f64(), batches.len() as u64);
-        }
-        let repairs_before = self.report.index_repairs.len();
         let apply = apply_mutation_epochs(
             &mut self.topology,
             &mut self.partitioning,
             &mut self.controller,
             &mut self.report,
-            &batches,
+            &self.hb,
+            std::mem::take(&mut self.due_mutations),
             self.cfg.compact_fraction,
             now.as_secs_f64(),
             self.index.as_deref_mut(),
         );
-        let mutation_events_from = apply.events_from;
-        // Every epoch the batches opened is published inside the window,
-        // before anything resumes and can stamp an outcome with it.
-        for e in epoch_before + 1..=self.topology.epoch() {
-            self.hb.publish_topology(0, e);
-        }
         barrier_cost += self.cluster.compute.mutation_cost(apply.ops);
         if let Some(edges) = apply.compacted_edges {
             barrier_cost += self.cluster.compute.compaction_cost(edges);
-            self.tracer.compaction((now + barrier_cost).as_secs_f64());
         }
         // The repair stages ran inside `apply_mutation_epochs`; the span
-        // covers the mutation-phase virtual cost, its stage instants carry
-        // the summed repair counters of this barrier's batches.
-        if self.report.index_repairs.len() > repairs_before {
-            let (mut invalidated, mut reruns, mut resumes) = (0u64, 0u64, 0u64);
-            for ev in &self.report.index_repairs[repairs_before..] {
-                invalidated += ev.summary.entries_invalidated as u64;
-                reruns += ev.summary.roots_rerun as u64;
-                resumes += ev.summary.partial_roots as u64;
-            }
-            self.tracer.repair_begin(now.as_secs_f64());
-            self.tracer.repair_end(
-                (now + barrier_cost).as_secs_f64(),
-                invalidated,
-                reruns,
-                resumes,
-            );
-        }
-        if !batches.is_empty() {
-            self.tracer
-                .mutation_end((now + barrier_cost).as_secs_f64(), batches.len() as u64);
-        }
+        // covers the mutation-phase virtual cost.
+        apply.stamp(
+            &self.tracer,
+            now.as_secs_f64(),
+            (now + barrier_cost).as_secs_f64(),
+        );
         let qcut_from = now + barrier_cost;
 
         // Phase 2: the repartition plan, once its ILS budget elapsed.
@@ -1305,8 +1128,9 @@ impl SimEngine {
                 let this = &mut *self;
                 let queries = &this.queries;
                 let workers = &mut this.workers;
-                let task_of =
-                    |q: QueryId| -> Arc<dyn QueryTask> { Arc::clone(&queries[q.index()].task) };
+                let task_of = |q: QueryId| -> Arc<dyn QueryTask> {
+                    Arc::clone(&queries[q.index()].ledger.task)
+                };
                 let (locality_before, locality_after) =
                     migrate::apply_measured(&migration, &mut this.partitioning, &observed, || {
                         migrate::apply_to_workers(&migration, workers, &task_of)
@@ -1340,9 +1164,7 @@ impl SimEngine {
 
         let end = now + barrier_cost + self.max_control_cost();
         let barrier_duration = (end - now).as_secs_f64();
-        for ev in &mut self.report.mutations[mutation_events_from..] {
-            ev.barrier_duration = barrier_duration;
-        }
+        apply.close(&mut self.report, barrier_duration);
         if let Some((result, triggered_at, moved_vertices, locality_before, locality_after)) =
             repartition
         {

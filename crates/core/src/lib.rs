@@ -58,6 +58,7 @@
 pub mod api;
 pub mod barrier;
 pub mod config;
+mod control;
 pub mod controller;
 pub mod engine;
 pub mod hb;

@@ -95,7 +95,6 @@
 //! into the admission queue / waiter list without disturbing the barrier
 //! protocol.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread;
@@ -108,18 +107,19 @@ use qgraph_partition::Partitioning;
 use qgraph_sim::SimTime;
 
 use crate::config::SystemConfig;
+use crate::control::{record_outcome, Admission, Outputs, QueryLedger};
 use crate::controller::{apply_mutation_epochs, Controller};
 use crate::hb::{kind, Hb};
 use crate::index_plane::{IndexRepairEvent, PointIndex};
 use crate::pool::TaskPool;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, run_qcut, IlsResult, Migration};
-use crate::query::{OutcomeStatus, QueryHandle, QueryId, QueryOutcome, ServedBy};
+use crate::query::{QueryHandle, QueryId, QueryOutcome, ServedBy};
 use crate::report::{ActivitySample, EngineReport, MutationEvent, PoolCounters, RepartitionEvent};
-use crate::sched::Scheduler;
+use crate::sched::{QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{cmd, outcome_code, TraceData, Tracer};
-use crate::worker::{LocalState, Worker};
+use crate::trace::{cmd, TraceData, Tracer};
+use crate::worker::{LocalState, SuperstepStats, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
 /// append under the lock, which also allocates the dense [`QueryId`];
@@ -180,21 +180,19 @@ enum Cmd {
     PendingReport,
 }
 
+/// One finished `Step`: the worker's counters and aggregate, the remote
+/// batches it produced, and whether it still holds pending messages.
+struct StepDone {
+    q: QueryId,
+    worker: usize,
+    stats: SuperstepStats,
+    agg: Envelope,
+    remote: Vec<(usize, MessageBatch)>,
+    self_pending: bool,
+}
+
 enum Resp {
-    StepDone {
-        q: QueryId,
-        executed: usize,
-        /// Remote messages actually shipped (post sender-side combining).
-        remote_sent: u64,
-        /// Remote messages as produced, before combining.
-        remote_pre: u64,
-        /// Wire batches under the configured batch cap.
-        remote_batches: u64,
-        agg: Envelope,
-        remote: Vec<(usize, MessageBatch)>,
-        self_pending: bool,
-        worker: usize,
-    },
+    StepDone(StepDone),
     Collected {
         q: QueryId,
         local: Option<Box<dyn LocalState>>,
@@ -308,50 +306,22 @@ struct CoordinatorExit {
     index: Option<Box<dyn PointIndex>>,
 }
 
+/// One admitted query on the thread runtime: the shared ledger plus the
+/// coordinator's transport and trigger-window bookkeeping.
 struct QueryTracking {
-    task: Arc<dyn QueryTask>,
-    outstanding: usize,
-    /// The query's degree-of-parallelism budget
-    /// ([`crate::DopPolicy::budget`], fixed at admission): at most this
-    /// many of a superstep's per-partition tasks run concurrently.
-    dop: usize,
-    /// Involved workers of the current superstep whose `Step` is held
-    /// back by the DoP budget; released one per completing task.
-    deferred: VecDeque<usize>,
-    /// Per-(query, partition) compute tasks released so far.
-    tasks: u64,
-    /// Max over supersteps of `min(dop, involved)` — the parallelism the
-    /// budget actually bought.
-    effective_dop: u32,
-    /// Workers computing the current superstep (for the locality metric).
-    involved_cur: usize,
-    /// Any message of the current superstep crossed a worker boundary
-    /// (the `!crossed` half of the canonical locality definition,
-    /// [`crate::barrier::decide`]).
-    crossed: bool,
-    agg_acc: Envelope,
-    agg_prev: Envelope,
+    ledger: QueryLedger,
+    /// Workers holding the next superstep's messages.
     next_involved: FxHashSet<usize>,
+    /// Workers holding any of the query's state (collected at the end).
     touched: FxHashSet<usize>,
+    /// Collect responses still outstanding.
     collecting: usize,
     locals: Vec<Box<dyn LocalState>>,
-    iterations: u32,
-    local_iterations: u32,
     /// Supersteps completed within the current trigger window (reset with
     /// the activity counters, so a long query's stale early history
     /// cannot keep re-firing barriers after a successful migration).
     window_iterations: u32,
     window_local: u32,
-    vertex_updates: u64,
-    remote_messages: u64,
-    remote_messages_pre_combine: u64,
-    remote_batches: u64,
-    /// Arrival time (entered the admission queue).
-    queued_at: SimTime,
-    /// Admission time (started executing).
-    started_at: SimTime,
-    /// Graph epoch at admission (outcome attribution).
-    first_epoch: u64,
 }
 
 /// The serving clock: wall time since `start`, offset by the report's
@@ -370,10 +340,11 @@ impl Clock {
     }
 }
 
-/// Client-protocol state the coordinator can update at *any* receive
-/// point: the policy-ordered admission queue, the drain waiters, and the
-/// shutdown flag.
+/// The coordinator's inbound channel plus the client-protocol state it
+/// can update at *any* receive point: the policy-ordered admission queue,
+/// the drain waiters, and the shutdown flag.
 struct ClientState {
+    rx: Receiver<CoordMsg>,
     scheduler: Scheduler,
     drain_waiters: Vec<Sender<Snapshot>>,
     /// Mutation batches awaiting the next stop-the-world barrier.
@@ -422,29 +393,24 @@ impl ClientState {
             }
         }
     }
-}
 
-/// Block until a *worker* response arrives, absorbing any client messages
-/// that land in between (submit-during-barrier and friends).
-fn recv_worker(
-    rx: &Receiver<CoordMsg>,
-    cs: &mut ClientState,
-    tasks: &TaskRegistry,
-    now: SimTime,
-    hb: &Hb,
-) -> Resp {
-    loop {
-        // Mid-barrier the workers must still hold their Sender clones
-        // (they only drop on worker exit), so a closed channel here
-        // means every worker died: tear down rather than resume from a
-        // half-applied barrier.
-        let msg = rx
-            .recv()
-            // qlint: allow(no-unwrap-hot-loop) — see above; recovery is impossible
-            .expect("workers alive while a barrier is in flight");
-        hb.coord_recv();
-        if let Some(r) = cs.absorb(msg, tasks, now) {
-            return r;
+    /// Block until a *worker* response arrives, absorbing any client
+    /// messages that land in between (submit-during-barrier and friends).
+    fn recv_worker(&mut self, tasks: &TaskRegistry, now: SimTime, hb: &Hb) -> Resp {
+        loop {
+            // Mid-barrier the workers must still hold their Sender clones
+            // (they only drop on worker exit), so a closed channel here
+            // means every worker died: tear down rather than resume from a
+            // half-applied barrier.
+            let msg = self
+                .rx
+                .recv()
+                // qlint: allow(no-unwrap-hot-loop) — see above; recovery is impossible
+                .expect("workers alive while a barrier is in flight");
+            hb.coord_recv();
+            if let Some(r) = self.absorb(msg, tasks, now) {
+                return r;
+            }
         }
     }
 }
@@ -520,11 +486,6 @@ struct Serving {
     handle: thread::JoinHandle<CoordinatorExit>,
 }
 
-/// The multi-threaded runtime: one OS thread per worker partition plus a
-/// coordinator thread serving an open-ended query stream, with the same
-/// submit/run/output lifecycle as the simulated engine and the same
-/// adaptive Q-cut loop running as a stop-the-world phase (see the module
-/// docs for the streaming and barrier protocols).
 /// Submissions and mutations made before `start`, forwarded in order
 /// when serving begins.
 enum PreOp {
@@ -532,6 +493,12 @@ enum PreOp {
     Mutate(GraphMutationBatch),
 }
 
+/// The multi-threaded runtime: an elastic pool of OS threads executing
+/// per-partition tasks plus a coordinator thread serving an open-ended
+/// query stream, with the same submit/run/output lifecycle as the
+/// simulated engine and the same adaptive Q-cut loop running as a
+/// stop-the-world phase (see the module docs for the pool, streaming and
+/// barrier protocols).
 pub struct ThreadEngine {
     /// The engine's copy of the evolving graph view, synced from the
     /// coordinator at every drain (the coordinator holds the master while
@@ -547,7 +514,7 @@ pub struct ThreadEngine {
     /// survive serve sessions.
     controller: Option<Controller>,
     tasks: TaskRegistry,
-    outputs: Vec<Option<Envelope>>,
+    outputs: Outputs,
     /// Submissions/mutations made before `start` (forwarded in order when
     /// serving begins).
     pre_ops: Vec<PreOp>,
@@ -587,7 +554,7 @@ impl ThreadEngine {
             controller: Some(Controller::new(cfg.qcut.clone())),
             cfg,
             tasks: Arc::new(RwLock::new(Vec::new())),
-            outputs: Vec::new(),
+            outputs: Outputs::default(),
             pre_ops: Vec::new(),
             index: None,
             report: EngineReport::default(),
@@ -695,9 +662,6 @@ impl ThreadEngine {
         deadline_secs: Option<f64>,
     ) -> QueryId {
         let q = register_task(&self.tasks, task);
-        if self.outputs.len() <= q.index() {
-            self.outputs.resize_with(q.index() + 1, || None);
-        }
         match &self.serving {
             Some(s) => {
                 let _ = s.tx.send(CoordMsg::Submit { q, deadline_secs });
@@ -778,6 +742,12 @@ impl ThreadEngine {
         let Some(controller) = self.controller.take() else {
             unreachable!("controller is present whenever the engine is not serving");
         };
+        // The hook widens "quiescent" to one still-open op — exactly the
+        // race the hb auditor exists to catch (see the regression test).
+        #[cfg(feature = "check-hb")]
+        let quiesce_at = usize::from(self.hb_test_early_quiesce);
+        #[cfg(not(feature = "check-hb"))]
+        let quiesce_at = 0;
         let coordinator = Coordinator {
             topology: self.topology.clone(),
             cfg: self.cfg.clone(),
@@ -788,13 +758,40 @@ impl ThreadEngine {
             // The coordinator continues the cumulative report; the engine
             // keeps its identical copy and appends drain deltas to it.
             report: self.report.clone(),
+            lanes: Lanes {
+                pool,
+                hb: hb.clone(),
+                inflight: 0,
+                batch_cap: self.cfg.batch_max_msgs.max(1),
+            },
             hb,
+            cs: ClientState {
+                rx: msg_rx,
+                scheduler: Scheduler::bounded(self.cfg.admission.clone(), self.cfg.max_queued),
+                drain_waiters: Vec::new(),
+                mutations: Vec::new(),
+                rejected: Vec::new(),
+                pending_index: None,
+                shutdown: false,
+                tracer: tracer.clone(),
+            },
             tracer,
             clock,
-            #[cfg(feature = "check-hb")]
-            hb_test_early_quiesce: self.hb_test_early_quiesce,
+            done_tx,
+            tracking: FxHashMap::default(),
+            parked: Vec::new(),
+            in_flight: 0,
+            pool_base: self.report.pool,
+            pool_tasks: self.report.pool.tasks,
+            // The current run window opens where the previous one closed.
+            run_started: clock.base,
+            synced: SyncMarks::of(&self.report),
+            window_supersteps: 0,
+            worker_activity: vec![0; k],
+            repart_triggered_at: None,
+            quiesce_at,
         };
-        let handle = thread::spawn(move || coordinator.serve(pool, msg_rx, done_tx));
+        let handle = thread::spawn(move || coordinator.serve());
 
         for op in std::mem::take(&mut self.pre_ops) {
             let _ = msg_tx.send(match op {
@@ -909,54 +906,38 @@ impl ThreadEngine {
         self.index = exit.index;
         // Any completions raced between the drain ack and the stop.
         while let Ok(c) = s.done_rx.try_recv() {
-            self.store_output(c);
+            self.outputs.store(c.q, c.output);
         }
         &self.report
     }
 
     fn sync_outputs(&mut self) {
         let Some(s) = &self.serving else { return };
-        let mut received = Vec::new();
         while let Ok(c) = s.done_rx.try_recv() {
-            received.push(c);
+            self.outputs.store(c.q, c.output);
         }
-        for c in received {
-            self.store_output(c);
-        }
-    }
-
-    fn store_output(&mut self, c: Completion) {
-        if self.outputs.len() <= c.q.index() {
-            self.outputs.resize_with(c.q.index() + 1, || None);
-        }
-        self.outputs[c.q.index()] = Some(c.output);
     }
 
     /// The output of a finished query, recovered through its typed handle
     /// (visible after `run`/`drain`/`shutdown`).
     pub fn output<P: VertexProgram>(&self, handle: &QueryHandle<P>) -> Option<&P::Output> {
-        self.output_as::<P>(handle.id())
+        self.outputs.get::<P>(handle.id())
     }
 
     /// Typed output lookup by raw [`QueryId`]; `None` if unfinished or if
     /// `P` is not the program type the query was submitted with.
     pub fn output_as<P: VertexProgram>(&self, q: QueryId) -> Option<&P::Output> {
-        self.output_envelope(q)?.downcast_ref::<P::Output>()
+        self.outputs.get::<P>(q)
     }
 
     /// Erased output access (backs the [`crate::Engine`] trait).
     pub fn output_envelope(&self, q: QueryId) -> Option<&(dyn std::any::Any + Send)> {
-        self.outputs.get(q.index())?.as_deref()
+        self.outputs.envelope(q)
     }
 
     /// Take ownership of a finished query's output.
     pub fn take_output<P: VertexProgram>(&mut self, handle: &QueryHandle<P>) -> Option<P::Output> {
-        let slot = self.outputs.get_mut(handle.id().index())?;
-        // Only take the envelope if it downcasts to the handle's type.
-        slot.as_ref()?.downcast_ref::<P::Output>()?;
-        slot.take()
-            .and_then(|b| b.downcast::<P::Output>().ok())
-            .map(|b| *b)
+        self.outputs.take::<P>(handle.id())
     }
 
     /// The cumulative measurement report over the engine's lifetime, as of
@@ -997,6 +978,51 @@ impl Drop for ThreadEngine {
     }
 }
 
+/// The coordinator's command side of the pool: every partition command
+/// goes through here, stamped on the happens-before auditor, and the
+/// Step/Collect ones are counted until their response arrives.
+struct Lanes {
+    pool: TaskPool<Cmd>,
+    hb: Hb,
+    /// Step and Collect commands awaiting a response: zero while a
+    /// barrier is pending means the workers are quiescent.
+    inflight: usize,
+    /// The wire cap deliveries are chunked at.
+    batch_cap: usize,
+}
+
+impl Lanes {
+    /// A command that gets no response, or whose response the barrier
+    /// protocol consumes synchronously.
+    fn cmd(&self, w: usize, cmd: Cmd) {
+        self.hb.send_cmd(w);
+        self.pool.push(w, cmd);
+    }
+
+    /// Deliver `batch` to worker `w`, chunked at the wire cap
+    /// (`batch_max_msgs`): the paper's 32-message batches as physical
+    /// envelopes, bounding per-envelope latency under bursts.
+    fn deliver(&self, q: QueryId, w: usize, batch: MessageBatch, task: &dyn QueryTask) {
+        for chunk in task.split_batch(batch, self.batch_cap) {
+            self.cmd(w, Cmd::Deliver { q, batch: chunk });
+        }
+    }
+
+    /// Run query `q`'s current superstep on worker `w`.
+    fn step(&mut self, q: QueryId, w: usize, ledger: &QueryLedger) {
+        self.hb.send_step(q.0, w);
+        let prev_agg = ledger.prev_aggregate();
+        self.pool.push(w, Cmd::Step { q, prev_agg });
+        self.inflight += 1;
+    }
+
+    fn collect(&mut self, q: QueryId, w: usize) {
+        self.hb.send_collect(q.0, w);
+        self.pool.push(w, Cmd::Collect { q });
+        self.inflight += 1;
+    }
+}
+
 /// The coordinator: owns the drive loop while the engine serves. All of
 /// the engine's measurement state lives here for the session and flows
 /// back through drain snapshots / the exit value.
@@ -1009,354 +1035,63 @@ struct Coordinator {
     index: Option<Box<dyn PointIndex>>,
     report: EngineReport,
     /// Happens-before auditor (no-op unless `check-hb`): stamps the
-    /// command/response channel edges, quiesce windows, and
-    /// topology/partitioning publications of the serve protocol.
+    /// response channel edges, quiesce windows, and topology/partitioning
+    /// publications of the serve protocol (the command edges are stamped
+    /// by [`Lanes`]).
     hb: Hb,
+    lanes: Lanes,
+    cs: ClientState,
     /// Structured event recorder (no-op unless `trace`); the pool threads
     /// hold clones of the same recorder and stamp off the same clock.
     tracer: Tracer,
     /// The session time base shared with every pool thread.
     clock: Clock,
-    /// Test hook: see [`ThreadEngine::hb_test_reintroduce_quiesce_race`].
-    #[cfg(feature = "check-hb")]
-    hb_test_early_quiesce: bool,
+    done_tx: Sender<Completion>,
+    /// Admitted queries that have not finished yet.
+    tracking: FxHashMap<QueryId, QueryTracking>,
+    /// Queries parked at their barrier by a pending stop-the-world phase,
+    /// with the workers their next superstep involves.
+    parked: Vec<(QueryId, Vec<usize>)>,
+    /// Closed-loop slots taken.
+    in_flight: usize,
+    /// Pool counters carried into the session: this session's `TaskPool`
+    /// starts its own stats at zero, so the report's totals fold these in.
+    pool_base: PoolCounters,
+    /// Step tasks completed over the engine's lifetime.
+    pool_tasks: u64,
+    /// Where the current run window opened.
+    run_started: f64,
+    /// The engine holds an identical report prefix; drains ship only what
+    /// was appended past these marks.
+    synced: SyncMarks,
+    /// Supersteps completed and vertex updates per worker in the current
+    /// trigger window.
+    window_supersteps: usize,
+    worker_activity: Vec<usize>,
+    /// A Q-cut phase is pending; its trigger fired at this time.
+    repart_triggered_at: Option<f64>,
+    /// In-flight ops at or below which the workers count as quiescent
+    /// (see [`ThreadEngine::hb_test_reintroduce_quiesce_race`]).
+    quiesce_at: usize,
 }
 
 impl Coordinator {
     /// The serving loop: runs until [`CoordMsg::Shutdown`], then stops the
     /// pool and returns the final state.
-    fn serve(
-        mut self,
-        pool: TaskPool<Cmd>,
-        msg_rx: Receiver<CoordMsg>,
-        done_tx: Sender<Completion>,
-    ) -> CoordinatorExit {
-        // One monotonic time base across serve sessions: this session's
-        // timestamps continue from the previous report's end, so the
-        // cumulative report's outcomes and `finished_at_secs` agree. The
-        // base was fixed in `start()` and is shared (by copy) with every
-        // pool thread, so coordinator and lane trace stamps agree too.
-        let clock = self.clock;
-        let k = self.partitioning.num_workers();
+    fn serve(mut self) -> CoordinatorExit {
         self.report.admission_policy = self.cfg.admission.label().to_string();
-        // Pool counters accumulate across serve sessions: this session's
-        // `TaskPool` starts its own stats at zero, so fold in the totals
-        // the report carried into the session.
-        let pool_base = self.report.pool;
-        let mut pool_tasks: u64 = pool_base.tasks;
-        // The hook widens "quiescent" to one still-open op — exactly the
-        // race the hb auditor exists to catch (see the regression test).
-        #[cfg(feature = "check-hb")]
-        let quiesce_at: usize = usize::from(self.hb_test_early_quiesce);
-        #[cfg(not(feature = "check-hb"))]
-        let quiesce_at: usize = 0;
-        let tasks = Arc::clone(&self.tasks);
-        let mut cs = ClientState {
-            scheduler: Scheduler::bounded(self.cfg.admission.clone(), self.cfg.max_queued),
-            drain_waiters: Vec::new(),
-            mutations: Vec::new(),
-            rejected: Vec::new(),
-            pending_index: None,
-            shutdown: false,
-            tracer: self.tracer.clone(),
-        };
-        let mut tracking: FxHashMap<QueryId, QueryTracking> = FxHashMap::default();
-        let max_parallel = self.cfg.max_parallel_queries.max(1);
-        let mut in_flight = 0usize;
-        // The current run window opens where the previous one closed.
-        let mut run_started = clock.base;
-        // The engine holds an identical report prefix; drains ship only
-        // what was appended past these marks.
-        let mut synced = SyncMarks::of(&self.report);
-
-        // Stop-the-world repartition state. `inflight_ops` counts Step and
-        // Collect commands awaiting a response: zero while a barrier is
-        // pending means the workers are quiescent.
-        let qcut_enabled = self.cfg.qcut.is_some();
-        let batch_cap = self.cfg.batch_max_msgs.max(1);
-        let qcut_interval = self.cfg.qcut.as_ref().map_or(0, |c| c.qcut_interval);
-        let mut supersteps_since = 0usize;
-        let mut worker_activity = vec![0usize; k];
-        let mut repart_pending = false;
-        let mut repart_triggered_at = 0.0f64;
-        let mut parked: Vec<(QueryId, Vec<usize>)> = Vec::new();
-        let mut inflight_ops = 0usize;
-
-        // Start a fresh trigger-evaluation window: used when a checkpoint
-        // declines to repartition, when a barrier ends, and when the
-        // engine goes idle at a drain — every windowed counter resets at
-        // exactly the same points, and an idle gap can never leak stale
-        // skew into the next burst's trigger.
-        macro_rules! reset_trigger_window {
-            () => {{
-                supersteps_since = 0;
-                worker_activity.iter_mut().for_each(|a| *a = 0);
-                for t in tracking.values_mut() {
-                    t.window_iterations = 0;
-                    t.window_local = 0;
-                }
-            }};
-        }
-
-        // Refresh the report's cumulative pool counters from the live
-        // pool (called at every drain ack and at teardown, so snapshots
-        // and the exit value always carry current totals).
-        macro_rules! sync_pool_counters {
-            () => {{
-                let ps = pool.stats();
-                self.report.pool = PoolCounters {
-                    threads: pool.width(),
-                    tasks: pool_tasks,
-                    steals: pool_base.steals + ps.steals,
-                    idle_waits: pool_base.idle_waits + ps.idle_waits,
-                };
-            }};
-        }
-
-        // Release query `$t`'s next superstep to the given involved
-        // workers — one dispatch path shared by the normal barrier release
-        // and the post-repartition resume, so their bookkeeping cannot
-        // diverge. Freezes *every* involved inbox first, then dispatches
-        // up to the query's DoP budget of Steps, deferring the rest: a
-        // deferred partition's input is already sealed, so nothing an
-        // earlier task of this superstep produces can leak into it.
-        macro_rules! dispatch_step {
-            ($q:expr, $t:expr, $next:expr) => {{
-                let next: Vec<usize> = $next;
-                $t.involved_cur = next.len();
-                $t.tasks += next.len() as u64;
-                $t.effective_dop = $t.effective_dop.max(next.len().min($t.dop) as u32);
-                for &w in &next {
-                    self.hb.send_cmd(w);
-                    pool.push(w, Cmd::Freeze { q: $q });
-                }
-                for (i, w) in next.into_iter().enumerate() {
-                    if i < $t.dop {
-                        self.hb.send_step($q.0, w);
-                        pool.push(
-                            w,
-                            Cmd::Step {
-                                q: $q,
-                                prev_agg: $t.task.clone_aggregate(&$t.agg_prev),
-                            },
-                        );
-                        $t.outstanding += 1;
-                        inflight_ops += 1;
-                    } else {
-                        self.tracer
-                            .defer(clock.now().as_secs_f64(), u64::from($q.0), w as u32);
-                        $t.deferred.push_back(w);
-                    }
-                }
-            }};
-        }
-
-        // Closed-loop seeding: start a query popped from the admission
-        // queue; returns false if it finished immediately (no initial
-        // messages).
-        macro_rules! start_query {
-            ($entry:expr) => {{
-                let entry: crate::sched::QueueEntry = $entry;
-                let q = entry.q;
-                let task = Arc::clone(&reg_read(&self.tasks)[q.index()]);
-                // Index fast path: an eligible point query with an index
-                // repaired through the current epoch never reaches a
-                // worker — it is answered at admission with zero work and
-                // occupies no closed-loop slot.
-                if let Some(output) = crate::sched::try_index_path(
-                    task.as_ref(),
-                    self.index.as_deref(),
-                    self.topology.epoch(),
-                ) {
-                    let at = clock.now();
-                    self.hb.outcome_epoch(0, self.topology.epoch());
-                    let _ = done_tx.send(Completion { q, output });
-                    self.report.finished_at_secs = at.as_secs_f64();
-                    self.report.outcomes.push(QueryOutcome {
-                        id: q,
-                        program: task.program_name(),
-                        status: OutcomeStatus::Completed,
-                        served_by: ServedBy::Index,
-                        queued_at: entry.enqueued_at,
-                        submitted_at: at,
-                        completed_at: at,
-                        iterations: 0,
-                        local_iterations: 0,
-                        vertex_updates: 0,
-                        remote_messages: 0,
-                        remote_messages_pre_combine: 0,
-                        remote_batches: 0,
-                        scope_size: 0,
-                        tasks: 0,
-                        effective_dop: 0,
-                        first_epoch: self.topology.epoch(),
-                        last_epoch: self.topology.epoch(),
-                    });
-                    self.tracer.outcome(
-                        at.as_secs_f64(),
-                        u64::from(q.0),
-                        outcome_code::INDEX_SERVED,
-                    );
-                    false
-                } else {
-                    let batches = {
-                        // Route against the *current* assignment and
-                        // topology: earlier repartitions and mutation
-                        // epochs of this session have already moved on.
-                        let route = |v: VertexId| self.partitioning.worker_of(v).index();
-                        task.initial_batches(&self.topology, &route, self.cfg.combiners)
-                    };
-                    if batches.is_empty() {
-                        // No initial messages: finalize over the empty
-                        // state set.
-                        let at = clock.now();
-                        self.hb.outcome_epoch(0, self.topology.epoch());
-                        let _ = done_tx.send(Completion {
-                            q,
-                            output: task.finalize(&self.topology, Vec::new()),
-                        });
-                        self.report.finished_at_secs = at.as_secs_f64();
-                        self.report.outcomes.push(QueryOutcome {
-                            id: q,
-                            program: task.program_name(),
-                            status: OutcomeStatus::Completed,
-                            served_by: ServedBy::Traversal,
-                            queued_at: entry.enqueued_at,
-                            submitted_at: at,
-                            completed_at: at,
-                            iterations: 0,
-                            local_iterations: 0,
-                            vertex_updates: 0,
-                            remote_messages: 0,
-                            remote_messages_pre_combine: 0,
-                            remote_batches: 0,
-                            scope_size: 0,
-                            tasks: 0,
-                            effective_dop: 0,
-                            first_epoch: self.topology.epoch(),
-                            last_epoch: self.topology.epoch(),
-                        });
-                        self.tracer.outcome(
-                            at.as_secs_f64(),
-                            u64::from(q.0),
-                            outcome_code::COMPLETED,
-                        );
-                        false
-                    } else {
-                        // The DoP budget is fixed at admission: point-
-                        // shaped programs stay serial, analytics fan out
-                        // to the policy's width (see `DopPolicy`).
-                        let dop = self.cfg.dop.budget(task.as_ref(), pool.width()).max(1);
-                        let involved = batches.len();
-                        let mut t = QueryTracking {
-                            agg_acc: task.aggregate_identity(),
-                            agg_prev: task.aggregate_identity(),
-                            task: Arc::clone(&task),
-                            outstanding: 0,
-                            dop,
-                            deferred: VecDeque::new(),
-                            tasks: involved as u64,
-                            effective_dop: involved.min(dop) as u32,
-                            involved_cur: involved,
-                            crossed: false,
-                            next_involved: FxHashSet::default(),
-                            touched: FxHashSet::default(),
-                            collecting: 0,
-                            locals: Vec::new(),
-                            iterations: 0,
-                            local_iterations: 0,
-                            window_iterations: 0,
-                            window_local: 0,
-                            vertex_updates: 0,
-                            remote_messages: 0,
-                            remote_messages_pre_combine: 0,
-                            remote_batches: 0,
-                            queued_at: entry.enqueued_at,
-                            started_at: clock.now(),
-                            first_epoch: self.topology.epoch(),
-                        };
-                        let mut ws: Vec<usize> = Vec::with_capacity(involved);
-                        for (w, batch) in batches {
-                            t.touched.insert(w);
-                            // Chunk at the wire cap: one bounded envelope
-                            // per `batch_max_msgs` messages (physical
-                            // batching, matching the accounting).
-                            for chunk in task.split_batch(batch, batch_cap) {
-                                self.hb.send_cmd(w);
-                                pool.push(w, Cmd::Deliver { q, batch: chunk });
-                            }
-                            // Seal the first superstep's input on every
-                            // involved worker before any Step runs (the
-                            // same release-time freeze as dispatch_step!).
-                            self.hb.send_cmd(w);
-                            pool.push(w, Cmd::Freeze { q });
-                            ws.push(w);
-                        }
-                        for &w in ws.iter().take(dop) {
-                            self.hb.send_step(q.0, w);
-                            pool.push(
-                                w,
-                                Cmd::Step {
-                                    q,
-                                    prev_agg: task.clone_aggregate(&t.agg_prev),
-                                },
-                            );
-                            t.outstanding += 1;
-                            inflight_ops += 1;
-                        }
-                        if self.tracer.enabled() {
-                            let at = clock.now().as_secs_f64();
-                            for &w in ws.iter().skip(dop) {
-                                self.tracer.defer(at, u64::from(q.0), w as u32);
-                            }
-                        }
-                        t.deferred.extend(ws.iter().skip(dop).copied());
-                        tracking.insert(q, t);
-                        true
-                    }
-                }
-            }};
-        }
-
-        // Admit waiting queries into free closed-loop slots (held back
-        // while a repartition barrier is pending, and once a shutdown is
-        // requested — already-admitted queries finish, queued ones drop).
-        macro_rules! admit {
-            () => {{
-                while !repart_pending
-                    && cs.mutations.is_empty()
-                    && !cs.shutdown
-                    && in_flight < max_parallel
-                {
-                    let Some(entry) = cs.scheduler.pop() else {
-                        break;
-                    };
-                    if start_query!(entry) {
-                        in_flight += 1;
-                    }
-                }
-            }};
-        }
-
-        // The serving loop.
         loop {
             // Pick up a mid-serve index install (last one wins) before any
             // admission decision of this turn.
-            if let Some(ix) = cs.pending_index.take() {
+            if let Some(ix) = self.cs.pending_index.take() {
                 self.index = Some(ix);
             }
 
             // Surface bounded-queue rejections as distinct outcomes (the
             // submission never executed; its output stays `None`).
-            for (q, program, at) in cs.rejected.drain(..) {
-                self.tracer
-                    .outcome(at.as_secs_f64(), u64::from(q.0), outcome_code::REJECTED);
-                self.report.outcomes.push(QueryOutcome::rejected(
-                    q,
-                    program,
-                    at,
-                    self.topology.epoch(),
-                ));
+            for (q, program, at) in self.cs.rejected.drain(..) {
+                let outcome = QueryOutcome::rejected(q, program, at, self.topology.epoch());
+                record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
             }
 
             // Stop-the-world phase — mutation epochs and/or Q-cut — runs
@@ -1364,227 +1099,25 @@ impl Coordinator {
             // then parked or collected). One barrier serves both: a
             // mutation landing while a repartition is pending costs no
             // extra quiesce.
-            if (repart_pending || !cs.mutations.is_empty()) && inflight_ops <= quiesce_at {
-                let entered_at = clock.now().as_secs_f64();
-                // The quiesce window opens only once every Step/Collect
-                // token is closed — the auditor holds us to exactly that.
-                self.hb.quiesce_begin();
-                self.tracer.quiesce_begin(entered_at);
-
-                // Phase 1: mutation epochs, in arrival order (the shared
-                // barrier body — see `controller::apply_mutation_epochs`).
-                let batches = std::mem::take(&mut cs.mutations);
-                let epoch_before = self.topology.epoch();
-                let mutation_from = clock.now().as_secs_f64();
-                if !batches.is_empty() {
-                    self.tracer
-                        .mutation_begin(mutation_from, batches.len() as u64);
-                }
-                let repairs_before = self.report.index_repairs.len();
-                let apply = apply_mutation_epochs(
-                    &mut self.topology,
-                    &mut self.partitioning,
-                    &mut self.controller,
-                    &mut self.report,
-                    &batches,
-                    self.cfg.compact_fraction,
-                    clock.now().as_secs_f64(),
-                    self.index.as_deref_mut(),
-                );
-                let mutation_events_from = apply.events_from;
-                if apply.compacted_edges.is_some() {
-                    self.tracer.compaction(clock.now().as_secs_f64());
-                }
-                // The repair stages ran inside `apply_mutation_epochs`:
-                // the span covers the apply call's tail, its stage
-                // instants carry the summed counters of this barrier.
-                if self.report.index_repairs.len() > repairs_before {
-                    let (mut invalidated, mut reruns, mut resumes) = (0u64, 0u64, 0u64);
-                    for ev in &self.report.index_repairs[repairs_before..] {
-                        invalidated += ev.summary.entries_invalidated as u64;
-                        reruns += ev.summary.roots_rerun as u64;
-                        resumes += ev.summary.partial_roots as u64;
-                    }
-                    self.tracer.repair_begin(mutation_from);
-                    self.tracer
-                        .repair_end(clock.now().as_secs_f64(), invalidated, reruns, resumes);
-                }
-                if !batches.is_empty() {
-                    self.tracer
-                        .mutation_end(clock.now().as_secs_f64(), batches.len() as u64);
-                }
-                if !batches.is_empty() {
-                    for e in epoch_before + 1..=self.topology.epoch() {
-                        self.hb.publish_topology(0, e);
-                    }
-                    let pv = self.hb.publish_partitioning(0);
-                    // Broadcast the new epoch (and the assignment grown by
-                    // new-vertex placement) before anything resumes: every
-                    // subsequent superstep executes and routes against it.
-                    let topo = Arc::new(self.topology.clone());
-                    let parts = Arc::new(self.partitioning.clone());
-                    for w in 0..k {
-                        self.hb.send_topology(w, self.topology.epoch());
-                        pool.push(w, Cmd::SetTopology(Arc::clone(&topo)));
-                        self.hb.send_partitioning(w, pv);
-                        pool.push(w, Cmd::SetPartitioning(Arc::clone(&parts)));
-                    }
-                }
-
-                // Phase 2: the Q-cut repartition, under the same barrier.
-                let outcome = if repart_pending {
-                    self.tracer.qcut_begin(clock.now().as_secs_f64());
-                    let o = self.qcut_barrier(&mut tracking, &pool, &msg_rx, &mut cs, &clock);
-                    self.tracer.qcut_end(clock.now().as_secs_f64());
-                    o
-                } else {
-                    None
-                };
-                let applied = outcome.is_some();
-                if let Some((ils, migration, locality_before, locality_after)) = outcome {
-                    let applied_at = clock.now().as_secs_f64();
-                    self.report.repartitions.push(RepartitionEvent {
-                        triggered_at: repart_triggered_at,
-                        applied_at,
-                        barrier_duration: applied_at - entered_at,
-                        moved_vertices: migration.moved_vertices,
-                        locality_before,
-                        locality_after,
-                        ils,
-                    });
-                }
-                let barrier_done = clock.now().as_secs_f64();
-                for ev in &mut self.report.mutations[mutation_events_from..] {
-                    ev.barrier_duration = barrier_done - entered_at;
-                }
-                if applied {
-                    // The migration moved pending inboxes between workers:
-                    // rebuild every parked query's involved set from the
-                    // workers' post-migration pending reports.
-                    for w in 0..k {
-                        self.hb.send_cmd(w);
-                        pool.push(w, Cmd::PendingReport);
-                    }
-                    let mut pending_on: FxHashMap<QueryId, Vec<usize>> = FxHashMap::default();
-                    for _ in 0..k {
-                        match recv_worker(&msg_rx, &mut cs, &tasks, clock.now(), &self.hb) {
-                            Resp::Pending { worker, queries } => {
-                                for q in queries {
-                                    pending_on.entry(q).or_default().push(worker);
-                                }
-                            }
-                            _ => unreachable!("quiesced workers only answer the pending report"),
-                        }
-                    }
-                    for (q, next) in parked.iter_mut() {
-                        let mut n = pending_on.remove(q).unwrap_or_default();
-                        n.sort_unstable();
-                        *next = n;
-                    }
-                }
-                // START: release the parked queries against the (possibly
-                // new) layout, then re-open admissions. The quiesce window
-                // closes first — releases are dispatches, and a dispatch
-                // inside the window is exactly the PR-2 race.
-                self.hb.quiesce_end();
-                let released_at = clock.now().as_secs_f64();
-                self.tracer.quiesce_end(released_at);
-                // The pool is provably idle inside the barrier: the
-                // cheapest possible point to move lane rings into the
-                // central buffer.
-                self.tracer.drain();
-                for (q, next) in std::mem::take(&mut parked) {
-                    let Some(t) = tracking.get_mut(&q) else {
-                        // Defensive: a parked query is by construction
-                        // still tracked (removal happens only after its
-                        // final Collect). Skip rather than corrupt the
-                        // release bookkeeping; surface loudly in debug.
-                        debug_assert!(false, "parked query {q:?} is no longer tracked");
-                        continue;
-                    };
-                    self.tracer.unpark(released_at, u64::from(q.0));
-                    if next.is_empty() {
-                        // Defensive: migration preserves pending messages,
-                        // so a parked query cannot lose them — surface the
-                        // broken invariant loudly in debug builds, finish
-                        // the query rather than deadlock in release.
-                        debug_assert!(
-                            false,
-                            "parked query {q:?} lost its pending messages across a migration"
-                        );
-                        t.collecting = t.touched.len();
-                        for &w in &t.touched {
-                            self.hb.send_collect(q.0, w);
-                            pool.push(w, Cmd::Collect { q });
-                            inflight_ops += 1;
-                        }
-                        continue;
-                    }
-                    dispatch_step!(q, t, next);
-                }
-                repart_pending = false;
-                reset_trigger_window!();
-                admit!();
+            if self.stop_pending() && self.lanes.inflight <= self.quiesce_at {
+                self.stop_the_world();
                 continue;
             }
 
             // Drain acks fire at full idle: nothing tracked, waiting,
             // parked, or mid-barrier. Each ack closes one run window.
-            if !cs.drain_waiters.is_empty()
-                && tracking.is_empty()
-                && cs.scheduler.is_empty()
-                && parked.is_empty()
-                && !repart_pending
-                && cs.mutations.is_empty()
-                && inflight_ops == 0
-            {
-                let end = clock.now().as_secs_f64();
-                self.report.finished_at_secs = end;
-                // Counters first: the closing window's per-window pool
-                // delta is computed against the *current* totals. The
-                // lanes are idle at a drain, so their rings drain fully.
-                sync_pool_counters!();
-                self.tracer.drain();
-                self.report.trace.absorb(&self.tracer);
-                self.report.close_run(run_started, end, self.report.pool);
-                run_started = end;
-                reset_trigger_window!();
-                for ack in cs.drain_waiters.drain(..) {
-                    // Only the delta past the engine's synced prefix; a
-                    // second waiter in the same idle moment gets an empty
-                    // one (its engine-side state is already current).
-                    let _ = ack.send(Snapshot {
-                        new_outcomes: self.report.outcomes[synced.outcomes..].to_vec(),
-                        new_activity: self.report.activity[synced.activity..].to_vec(),
-                        new_repartitions: self.report.repartitions[synced.repartitions..].to_vec(),
-                        new_mutations: self.report.mutations[synced.mutations..].to_vec(),
-                        new_index_repairs: self.report.index_repairs[synced.index_repairs..]
-                            .to_vec(),
-                        new_runs: self.report.runs[synced.runs..].to_vec(),
-                        new_trace: self.report.trace.delta_since(synced.trace),
-                        finished_at_secs: self.report.finished_at_secs,
-                        partitioning: self.partitioning.clone(),
-                        topology: self.topology.clone(),
-                        pool: self.report.pool,
-                        admission_policy: self.report.admission_policy.clone(),
-                    });
-                    synced = SyncMarks::of(&self.report);
-                }
+            if !self.cs.drain_waiters.is_empty() && self.cs.scheduler.is_empty() && self.idle() {
+                self.ack_drains();
             }
 
             // Stop only once admitted work has finished: a submission the
             // coordinator already started executing is never abandoned
             // (its completion streams out and shutdown() collects it).
-            if cs.shutdown
-                && tracking.is_empty()
-                && parked.is_empty()
-                && cs.mutations.is_empty()
-                && inflight_ops == 0
-            {
+            if self.cs.shutdown && self.idle() {
                 break;
             }
 
-            let Ok(msg) = msg_rx.recv() else {
+            let Ok(msg) = self.cs.rx.recv() else {
                 // Every sender (engine handle included) is gone.
                 break;
             };
@@ -1593,243 +1126,493 @@ impl Coordinator {
             // stamp, activity samples, and every tracer event this turn
             // emits — repeated reads are measurable on chained
             // single-partition supersteps.
-            let now = clock.now();
-            let Some(resp) = cs.absorb(msg, &tasks, now) else {
-                if !repart_pending {
-                    admit!();
-                }
-                continue;
+            let now = self.clock.now();
+            match self.cs.absorb(msg, &self.tasks, now) {
+                None => self.admit(),
+                Some(Resp::StepDone(done)) => self.on_step_done(now, done),
+                Some(Resp::Collected { q, local }) => self.on_collected(now, q, local),
+                Some(_) => unreachable!("barrier responses are consumed synchronously"),
+            }
+        }
+        self.teardown()
+    }
+
+    /// A mutation batch or a Q-cut phase is waiting for the next
+    /// stop-the-world barrier.
+    fn stop_pending(&self) -> bool {
+        self.repart_triggered_at.is_some() || !self.cs.mutations.is_empty()
+    }
+
+    /// Nothing admitted is tracked, parked, in flight, or waiting on a
+    /// barrier.
+    fn idle(&self) -> bool {
+        self.tracking.is_empty()
+            && self.parked.is_empty()
+            && !self.stop_pending()
+            && self.lanes.inflight == 0
+    }
+
+    /// Start a fresh trigger-evaluation window: used when a checkpoint
+    /// declines to repartition, when a barrier ends, and when the engine
+    /// goes idle at a drain — every windowed counter resets at exactly
+    /// the same points, and an idle gap can never leak stale skew into
+    /// the next burst's trigger.
+    fn reset_trigger_window(&mut self) {
+        self.window_supersteps = 0;
+        self.worker_activity.iter_mut().for_each(|a| *a = 0);
+        for t in self.tracking.values_mut() {
+            t.window_iterations = 0;
+            t.window_local = 0;
+        }
+    }
+
+    /// Refresh the report's cumulative pool counters from the live pool
+    /// (called at every drain ack and at teardown, so snapshots and the
+    /// exit value always carry current totals).
+    fn sync_pool_counters(&mut self) {
+        let ps = self.lanes.pool.stats();
+        self.report.pool = PoolCounters {
+            threads: self.lanes.pool.width(),
+            tasks: self.pool_tasks,
+            steals: self.pool_base.steals + ps.steals,
+            idle_waits: self.pool_base.idle_waits + ps.idle_waits,
+        };
+    }
+
+    /// Admit waiting queries into free closed-loop slots (held back while
+    /// a stop-the-world phase is pending, and once a shutdown is
+    /// requested — already-admitted queries finish, queued ones drop).
+    fn admit(&mut self) {
+        while !self.stop_pending()
+            && !self.cs.shutdown
+            && self.in_flight < self.cfg.max_parallel_queries.max(1)
+        {
+            let Some(entry) = self.cs.scheduler.pop() else {
+                break;
             };
-            match resp {
-                Resp::StepDone {
-                    q,
-                    executed,
-                    remote_sent,
-                    remote_pre,
-                    remote_batches,
-                    agg,
-                    remote,
-                    self_pending,
-                    worker,
-                } => {
-                    inflight_ops -= 1;
-                    pool_tasks += 1;
-                    self.hb.token_close(q.0, kind::STEP);
-                    self.report.activity.push(ActivitySample {
-                        t: now.as_secs_f64(),
-                        worker,
-                        executed: executed as u64,
-                    });
-                    worker_activity[worker] += executed;
-                    // A StepDone can only answer a Step this loop issued,
-                    // and tracking entries outlive their outstanding steps.
-                    // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
-                    let t = tracking.get_mut(&q).expect("tracked query");
-                    t.outstanding -= 1;
-                    // Elastic DoP: a freed budget slot immediately
-                    // releases the next deferred task of the *same*
-                    // superstep — even mid stop-the-world drain, because
-                    // the superstep must complete before the query can
-                    // park at its barrier.
-                    if let Some(w_next) = t.deferred.pop_front() {
-                        self.tracer
-                            .defer_release(now.as_secs_f64(), u64::from(q.0), w_next as u32);
-                        self.hb.send_step(q.0, w_next);
-                        pool.push(
-                            w_next,
-                            Cmd::Step {
-                                q,
-                                prev_agg: t.task.clone_aggregate(&t.agg_prev),
-                            },
-                        );
-                        t.outstanding += 1;
-                        inflight_ops += 1;
-                    }
-                    t.vertex_updates += executed as u64;
-                    t.remote_messages += remote_sent;
-                    t.remote_messages_pre_combine += remote_pre;
-                    t.remote_batches += remote_batches;
-                    t.crossed |= remote_sent > 0;
-                    t.task.aggregate_combine(&mut t.agg_acc, &agg);
-                    if self_pending {
-                        t.next_involved.insert(worker);
-                    }
-                    for (w2, batch) in remote {
-                        t.next_involved.insert(w2);
-                        t.touched.insert(w2);
-                        // Chunk at the wire cap (`batch_max_msgs`): the
-                        // paper's 32-message batches as physical envelopes,
-                        // bounding per-envelope latency under bursts.
-                        for chunk in t.task.split_batch(batch, batch_cap) {
-                            self.hb.send_cmd(w2);
-                            pool.push(w2, Cmd::Deliver { q, batch: chunk });
-                        }
-                    }
-                    if t.outstanding == 0 {
-                        debug_assert!(
-                            t.deferred.is_empty(),
-                            "superstep barrier with deferred tasks unreleased"
-                        );
-                        self.tracer
-                            .superstep_done(now.as_secs_f64(), u64::from(q.0));
-                        t.iterations += 1;
-                        t.window_iterations += 1;
-                        supersteps_since += 1;
-                        // Same definition as the simulated barrier: one
-                        // involved worker and nothing crossed a boundary.
-                        if t.involved_cur == 1 && !t.crossed {
-                            t.local_iterations += 1;
-                            t.window_local += 1;
-                        }
-                        t.crossed = false;
-                        let combined =
-                            std::mem::replace(&mut t.agg_acc, t.task.aggregate_identity());
-                        if t.task.aggregate_sticky() {
-                            t.task.aggregate_combine(&mut t.agg_prev, &combined);
-                        } else {
-                            t.agg_prev = combined;
-                        }
-                        let mut next: Vec<usize> = t.next_involved.drain().collect();
-                        next.sort_unstable();
-                        if next.is_empty() || t.task.should_terminate(&t.agg_prev) {
-                            // Collect states from every touched worker.
-                            t.collecting = t.touched.len();
-                            for &w in &t.touched {
-                                self.hb.send_collect(q.0, w);
-                                pool.push(w, Cmd::Collect { q });
-                                inflight_ops += 1;
-                            }
-                        } else if repart_pending || !cs.mutations.is_empty() {
-                            // STOP: park at the barrier until the
-                            // stop-the-world phase (Q-cut and/or mutation
-                            // epoch) has run.
-                            self.tracer.park(now.as_secs_f64(), u64::from(q.0));
-                            parked.push((q, next));
-                        } else {
-                            dispatch_step!(q, t, next);
-                        }
-                        // Periodic trigger: every `qcut_interval` completed
-                        // supersteps, consult the controller thresholds.
-                        if !repart_pending && qcut_interval > 0 && supersteps_since >= qcut_interval
-                        {
-                            if tracking.len() < 2 {
-                                // A solo query never repartitions, but its
-                                // window must not accumulate either — a
-                                // stale solo-phase activity skew would
-                                // fire a spurious barrier the moment a
-                                // second query is admitted.
-                                reset_trigger_window!();
-                            } else {
-                                // Windowed locality (supersteps since the
-                                // last checkpoint): a long query's stale
-                                // early history must not keep re-firing
-                                // barriers after a successful migration.
-                                let mut sum = 0.0f64;
-                                let mut active = 0usize;
-                                for t in tracking.values() {
-                                    if t.window_iterations > 0 {
-                                        sum += t.window_local as f64 / t.window_iterations as f64;
-                                        active += 1;
-                                    }
-                                }
-                                let mean_locality = if active == 0 {
-                                    1.0
-                                } else {
-                                    sum / active as f64
-                                };
-                                let imbalance = qgraph_partition::imbalance(&worker_activity);
-                                if self.controller.interval_trigger(
-                                    mean_locality,
-                                    imbalance,
-                                    active,
-                                ) {
-                                    repart_pending = true;
-                                    repart_triggered_at = now.as_secs_f64();
-                                } else {
-                                    reset_trigger_window!();
-                                }
-                            }
-                        }
-                    }
-                }
-                Resp::Collected { q, local } => {
-                    inflight_ops -= 1;
-                    self.hb.token_close(q.0, kind::COLLECT);
-                    // Collects are only issued for tracked queries and the
-                    // entry stays until the last one (counted) returns.
-                    // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
-                    let t = tracking.get_mut(&q).expect("tracked query");
-                    t.locals.extend(local);
-                    t.collecting -= 1;
-                    if t.collecting == 0 {
-                        // qlint: allow(no-unwrap-hot-loop) — entry just mutated above
-                        let t = tracking.remove(&q).expect("present");
-                        let at = now;
-                        let scope_size: u64 = t.locals.iter().map(|l| l.scope_size() as u64).sum();
-                        if qcut_enabled {
-                            // Retain the scope for the monitoring window
-                            // (only worth materializing when Q-cut runs);
-                            // streamed into one buffer via the visitor.
-                            let mut scope: Vec<VertexId> = Vec::new();
-                            for l in &t.locals {
-                                l.for_each_scope_vertex(&mut |v| scope.push(v));
-                            }
-                            self.controller.record_finished_scope(q, scope, at);
-                            self.controller.expire(at);
-                        }
-                        self.hb.outcome_epoch(0, self.topology.epoch());
-                        let _ = done_tx.send(Completion {
-                            q,
-                            output: t.task.finalize(&self.topology, t.locals),
-                        });
-                        self.report.finished_at_secs = at.as_secs_f64();
-                        self.report.outcomes.push(QueryOutcome {
-                            id: q,
-                            program: t.task.program_name(),
-                            status: OutcomeStatus::Completed,
-                            served_by: ServedBy::Traversal,
-                            queued_at: t.queued_at,
-                            submitted_at: t.started_at,
-                            completed_at: at,
-                            iterations: t.iterations,
-                            local_iterations: t.local_iterations,
-                            vertex_updates: t.vertex_updates,
-                            remote_messages: t.remote_messages,
-                            remote_messages_pre_combine: t.remote_messages_pre_combine,
-                            remote_batches: t.remote_batches,
-                            scope_size,
-                            tasks: t.tasks,
-                            effective_dop: t.effective_dop,
-                            first_epoch: t.first_epoch,
-                            last_epoch: self.topology.epoch(),
-                        });
-                        self.tracer.outcome(
-                            at.as_secs_f64(),
-                            u64::from(q.0),
-                            outcome_code::COMPLETED,
-                        );
-                        in_flight -= 1;
-                        // Closed loop: admit the next waiting query (held
-                        // back while a repartition barrier is pending).
-                        admit!();
-                    }
-                }
-                _ => unreachable!("barrier responses are consumed synchronously"),
+            if self.start_query(entry) {
+                self.in_flight += 1;
+            }
+        }
+    }
+
+    /// Closed-loop seeding: start a query popped from the admission
+    /// queue. Returns false if it finished on the spot (index-served, or
+    /// no initial messages: finalized over the empty state set).
+    fn start_query(&mut self, entry: QueueEntry) -> bool {
+        let q = entry.q;
+        let now = self.clock.now();
+        let task = Arc::clone(&reg_read(&self.tasks)[q.index()]);
+        let mut ledger = QueryLedger::new(task, entry.enqueued_at);
+        let admission = ledger.admit(
+            now,
+            &self.topology,
+            &self.partitioning,
+            self.index.as_deref(),
+            &self.cfg,
+            self.lanes.pool.width(),
+        );
+        let epoch = self.topology.epoch();
+        let batches = match admission {
+            Admission::Indexed(output) => {
+                self.complete(ledger.outcome(q, ServedBy::Index, now, 0, epoch), output);
+                return false;
+            }
+            Admission::Traverse(batches) if batches.is_empty() => {
+                let output = ledger.task.finalize(&self.topology, Vec::new());
+                self.complete(
+                    ledger.outcome(q, ServedBy::Traversal, now, 0, epoch),
+                    output,
+                );
+                return false;
+            }
+            Admission::Traverse(batches) => batches,
+        };
+        let mut t = QueryTracking {
+            ledger,
+            next_involved: FxHashSet::default(),
+            touched: FxHashSet::default(),
+            collecting: 0,
+            locals: Vec::new(),
+            window_iterations: 0,
+            window_local: 0,
+        };
+        let mut involved = Vec::with_capacity(batches.len());
+        for (w, batch) in batches {
+            t.touched.insert(w);
+            self.lanes.deliver(q, w, batch, t.ledger.task.as_ref());
+            involved.push(w);
+        }
+        self.tracking.insert(q, t);
+        self.release(q, &involved, now);
+        true
+    }
+
+    /// Release query `q`'s next superstep to the given involved workers —
+    /// the one dispatch path of admission, the barrier release, and the
+    /// post-repartition resume. Freezes *every* involved inbox first,
+    /// then dispatches up to the query's DoP budget of Steps, deferring
+    /// the rest: a deferred partition's input is already sealed, so
+    /// nothing an earlier task of this superstep produces can leak into
+    /// it.
+    fn release(&mut self, q: QueryId, involved: &[usize], at: SimTime) {
+        let Some(t) = self.tracking.get_mut(&q) else {
+            debug_assert!(false, "released query {q:?} is not tracked");
+            return;
+        };
+        let n = t.ledger.open_superstep(involved);
+        for &w in involved {
+            self.lanes.cmd(w, Cmd::Freeze { q });
+        }
+        for &w in &involved[..n] {
+            self.lanes.step(q, w, &t.ledger);
+        }
+        for &w in &involved[n..] {
+            self.tracer
+                .defer(at.as_secs_f64(), u64::from(q.0), w as u32);
+        }
+    }
+
+    /// Query `q` terminated: collect its states from every touched worker.
+    fn collect(&mut self, q: QueryId) {
+        let Some(t) = self.tracking.get_mut(&q) else {
+            debug_assert!(false, "collected query {q:?} is not tracked");
+            return;
+        };
+        t.collecting = t.touched.len();
+        for &w in &t.touched {
+            self.lanes.collect(q, w);
+        }
+    }
+
+    /// Ship a finished query's output to the engine and record its outcome.
+    fn complete(&mut self, outcome: QueryOutcome, output: Envelope) {
+        let _ = self.done_tx.send(Completion {
+            q: outcome.id,
+            output,
+        });
+        self.report.finished_at_secs = outcome.completed_at.as_secs_f64();
+        record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
+    }
+
+    fn on_step_done(&mut self, now: SimTime, done: StepDone) {
+        let StepDone {
+            q,
+            worker,
+            stats,
+            agg,
+            remote,
+            self_pending,
+        } = done;
+        self.lanes.inflight -= 1;
+        self.pool_tasks += 1;
+        self.hb.token_close(q.0, kind::STEP);
+        self.report.activity.push(ActivitySample {
+            t: now.as_secs_f64(),
+            worker,
+            executed: stats.executed as u64,
+        });
+        self.worker_activity[worker] += stats.executed;
+        // A StepDone can only answer a Step this loop issued, and tracking
+        // entries outlive their outstanding steps.
+        // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
+        let t = self.tracking.get_mut(&q).expect("tracked query");
+        if let Some(w_next) = t.ledger.task_done(&stats, &agg) {
+            self.tracer
+                .defer_release(now.as_secs_f64(), u64::from(q.0), w_next as u32);
+            self.lanes.step(q, w_next, &t.ledger);
+        }
+        if self_pending {
+            t.next_involved.insert(worker);
+        }
+        for (w2, batch) in remote {
+            t.next_involved.insert(w2);
+            t.touched.insert(w2);
+            self.lanes.deliver(q, w2, batch, t.ledger.task.as_ref());
+        }
+        if t.ledger.remaining > 0 {
+            return;
+        }
+        self.tracer
+            .superstep_done(now.as_secs_f64(), u64::from(q.0));
+        let mut next: Vec<usize> = t.next_involved.drain().collect();
+        next.sort_unstable();
+        let (is_local, terminate) = t.ledger.close_superstep(next.is_empty());
+        t.window_iterations += 1;
+        if is_local {
+            t.window_local += 1;
+        }
+        self.window_supersteps += 1;
+        if terminate {
+            self.collect(q);
+        } else if self.stop_pending() {
+            // STOP: park at the barrier until the stop-the-world phase
+            // (Q-cut and/or mutation epoch) has run.
+            self.tracer.park(now.as_secs_f64(), u64::from(q.0));
+            self.parked.push((q, next));
+        } else {
+            self.release(q, &next, now);
+        }
+        self.maybe_trigger_qcut(now);
+    }
+
+    /// Periodic trigger: every `qcut_interval` completed supersteps,
+    /// consult the controller thresholds.
+    fn maybe_trigger_qcut(&mut self, now: SimTime) {
+        let interval = self.cfg.qcut.as_ref().map_or(0, |c| c.qcut_interval);
+        if self.repart_triggered_at.is_some() || interval == 0 || self.window_supersteps < interval
+        {
+            return;
+        }
+        if self.tracking.len() < 2 {
+            // A solo query never repartitions, but its window must not
+            // accumulate either — a stale solo-phase activity skew would
+            // fire a spurious barrier the moment a second query is
+            // admitted.
+            self.reset_trigger_window();
+            return;
+        }
+        // Windowed locality (supersteps since the last checkpoint): a
+        // long query's stale early history must not keep re-firing
+        // barriers after a successful migration.
+        let mut sum = 0.0f64;
+        let mut active = 0usize;
+        for t in self.tracking.values() {
+            if t.window_iterations > 0 {
+                sum += t.window_local as f64 / t.window_iterations as f64;
+                active += 1;
+            }
+        }
+        let mean_locality = if active == 0 {
+            1.0
+        } else {
+            sum / active as f64
+        };
+        let imbalance = qgraph_partition::imbalance(&self.worker_activity);
+        if self
+            .controller
+            .interval_trigger(mean_locality, imbalance, active)
+        {
+            self.repart_triggered_at = Some(now.as_secs_f64());
+        } else {
+            self.reset_trigger_window();
+        }
+    }
+
+    fn on_collected(&mut self, now: SimTime, q: QueryId, local: Option<Box<dyn LocalState>>) {
+        self.lanes.inflight -= 1;
+        self.hb.token_close(q.0, kind::COLLECT);
+        // Collects are only issued for tracked queries and the entry stays
+        // until the last one (counted) returns.
+        // qlint: allow(no-unwrap-hot-loop) — protocol invariant, see above
+        let t = self.tracking.get_mut(&q).expect("tracked query");
+        t.locals.extend(local);
+        t.collecting -= 1;
+        if t.collecting > 0 {
+            return;
+        }
+        let Some(t) = self.tracking.remove(&q) else {
+            return;
+        };
+        let scope_size: u64 = t.locals.iter().map(|l| l.scope_size() as u64).sum();
+        if self.cfg.qcut.is_some() {
+            // Retain the scope for the monitoring window (only worth
+            // materializing when Q-cut runs); streamed into one buffer via
+            // the visitor.
+            let mut scope: Vec<VertexId> = Vec::new();
+            for l in &t.locals {
+                l.for_each_scope_vertex(&mut |v| scope.push(v));
+            }
+            self.controller.record_finished_scope(q, scope, now);
+            self.controller.expire(now);
+        }
+        let epoch = self.topology.epoch();
+        let outcome = t
+            .ledger
+            .outcome(q, ServedBy::Traversal, now, scope_size, epoch);
+        self.complete(outcome, t.ledger.task.finalize(&self.topology, t.locals));
+        self.in_flight -= 1;
+        // Closed loop: admit the next waiting query (held back while a
+        // stop-the-world phase is pending).
+        self.admit();
+    }
+
+    /// The stop-the-world barrier, entered once the workers are
+    /// quiescent: apply the mutation epochs, run the Q-cut repartition,
+    /// then release the parked queries and re-open admissions.
+    fn stop_the_world(&mut self) {
+        let entered_at = self.clock.now().as_secs_f64();
+        // The quiesce window opens only once every Step/Collect token is
+        // closed — the auditor holds us to exactly that.
+        self.hb.quiesce_begin();
+        self.tracer.quiesce_begin(entered_at);
+        let k = self.partitioning.num_workers();
+
+        // Phase 1: mutation epochs, in arrival order (the shared barrier
+        // body — see `controller::apply_mutation_epochs`).
+        let apply = apply_mutation_epochs(
+            &mut self.topology,
+            &mut self.partitioning,
+            &mut self.controller,
+            &mut self.report,
+            &self.hb,
+            std::mem::take(&mut self.cs.mutations),
+            self.cfg.compact_fraction,
+            entered_at,
+            self.index.as_deref_mut(),
+        );
+        // The repair stages ran inside `apply_mutation_epochs`: the span
+        // covers the apply call.
+        apply.stamp(&self.tracer, entered_at, self.clock.now().as_secs_f64());
+        if apply.batches > 0 {
+            let pv = self.hb.publish_partitioning(0);
+            // Broadcast the new epoch (and the assignment grown by
+            // new-vertex placement) before anything resumes: every
+            // subsequent superstep executes and routes against it.
+            let topo = Arc::new(self.topology.clone());
+            let parts = Arc::new(self.partitioning.clone());
+            for w in 0..k {
+                self.hb.send_topology(w, self.topology.epoch());
+                self.lanes.pool.push(w, Cmd::SetTopology(Arc::clone(&topo)));
+                self.hb.send_partitioning(w, pv);
+                self.lanes
+                    .pool
+                    .push(w, Cmd::SetPartitioning(Arc::clone(&parts)));
             }
         }
 
-        // Teardown: drain and join the pool threads (propagating any pool
-        // thread's own panic payload), then close any trailing run window
-        // so every outcome has a home.
-        sync_pool_counters!();
-        pool.shutdown();
+        // Phase 2: the Q-cut repartition, under the same barrier.
+        let mut applied = false;
+        if let Some(triggered_at) = self.repart_triggered_at {
+            self.tracer.qcut_begin(self.clock.now().as_secs_f64());
+            let outcome = self.qcut_barrier();
+            self.tracer.qcut_end(self.clock.now().as_secs_f64());
+            if let Some((ils, migration, locality_before, locality_after)) = outcome {
+                applied = true;
+                let applied_at = self.clock.now().as_secs_f64();
+                self.report.repartitions.push(RepartitionEvent {
+                    triggered_at,
+                    applied_at,
+                    barrier_duration: applied_at - entered_at,
+                    moved_vertices: migration.moved_vertices,
+                    locality_before,
+                    locality_after,
+                    ils,
+                });
+            }
+        }
+        apply.close(
+            &mut self.report,
+            self.clock.now().as_secs_f64() - entered_at,
+        );
+        if applied {
+            // The migration moved pending inboxes between workers: rebuild
+            // every parked query's involved set from the workers'
+            // post-migration pending reports.
+            for w in 0..k {
+                self.lanes.cmd(w, Cmd::PendingReport);
+            }
+            let mut pending_on: FxHashMap<QueryId, Vec<usize>> = FxHashMap::default();
+            for _ in 0..k {
+                match self.cs.recv_worker(&self.tasks, self.clock.now(), &self.hb) {
+                    Resp::Pending { worker, queries } => {
+                        for q in queries {
+                            pending_on.entry(q).or_default().push(worker);
+                        }
+                    }
+                    _ => unreachable!("quiesced workers only answer the pending report"),
+                }
+            }
+            for (q, next) in self.parked.iter_mut() {
+                let mut n = pending_on.remove(q).unwrap_or_default();
+                n.sort_unstable();
+                *next = n;
+            }
+        }
+        // START: release the parked queries against the (possibly new)
+        // layout, then re-open admissions. The quiesce window closes first
+        // — releases are dispatches, and a dispatch inside the window is
+        // exactly the PR-2 race.
+        self.hb.quiesce_end();
+        let released_at = self.clock.now();
+        self.tracer.quiesce_end(released_at.as_secs_f64());
+        // The pool is provably idle inside the barrier: the cheapest
+        // possible point to move lane rings into the central buffer.
+        self.tracer.drain();
+        for (q, next) in std::mem::take(&mut self.parked) {
+            self.tracer
+                .unpark(released_at.as_secs_f64(), u64::from(q.0));
+            if next.is_empty() {
+                // Defensive: migration preserves pending messages, so a
+                // parked query cannot lose them — surface the broken
+                // invariant loudly in debug builds, finish the query
+                // rather than deadlock in release.
+                debug_assert!(
+                    false,
+                    "parked query {q:?} lost its pending messages across a migration"
+                );
+                self.collect(q);
+            } else {
+                self.release(q, &next, released_at);
+            }
+        }
+        self.repart_triggered_at = None;
+        self.reset_trigger_window();
+        self.admit();
+    }
+
+    /// Every drain waiter gets the report delta past the engine's synced
+    /// prefix (the engine is idle); one run window closes.
+    fn ack_drains(&mut self) {
+        let end = self.clock.now().as_secs_f64();
+        self.report.finished_at_secs = end;
+        // Counters first: the closing window's per-window pool delta is
+        // computed against the *current* totals. The lanes are idle at a
+        // drain, so their rings drain fully.
+        self.sync_pool_counters();
+        self.tracer.drain();
+        self.report.trace.absorb(&self.tracer);
+        self.report
+            .close_run(self.run_started, end, self.report.pool);
+        self.run_started = end;
+        self.reset_trigger_window();
+        for ack in self.cs.drain_waiters.drain(..) {
+            // Only the delta past the engine's synced prefix; a second
+            // waiter in the same idle moment gets an empty one (its
+            // engine-side state is already current).
+            let synced = self.synced;
+            let _ = ack.send(Snapshot {
+                new_outcomes: self.report.outcomes[synced.outcomes..].to_vec(),
+                new_activity: self.report.activity[synced.activity..].to_vec(),
+                new_repartitions: self.report.repartitions[synced.repartitions..].to_vec(),
+                new_mutations: self.report.mutations[synced.mutations..].to_vec(),
+                new_index_repairs: self.report.index_repairs[synced.index_repairs..].to_vec(),
+                new_runs: self.report.runs[synced.runs..].to_vec(),
+                new_trace: self.report.trace.delta_since(synced.trace),
+                finished_at_secs: self.report.finished_at_secs,
+                partitioning: self.partitioning.clone(),
+                topology: self.topology.clone(),
+                pool: self.report.pool,
+                admission_policy: self.report.admission_policy.clone(),
+            });
+            self.synced = SyncMarks::of(&self.report);
+        }
+    }
+
+    /// Drain and join the pool threads (propagating any pool thread's own
+    /// panic payload), then close any trailing run window so every
+    /// outcome has a home.
+    fn teardown(mut self) -> CoordinatorExit {
+        self.sync_pool_counters();
+        self.lanes.pool.shutdown();
         self.tracer.drain();
         self.report.trace.absorb(&self.tracer);
         let runs_before = self.report.runs.len();
-        let end = clock.now().as_secs_f64();
+        let end = self.clock.now().as_secs_f64();
         // `close_run` no-ops when nothing happened past the last boundary
         // (the normal case: shutdown() drained first).
-        self.report.close_run(run_started, end, self.report.pool);
+        self.report
+            .close_run(self.run_started, end, self.report.pool);
         if self.report.runs.len() > runs_before {
             self.report.finished_at_secs = end;
         }
@@ -1847,35 +1630,25 @@ impl Coordinator {
     /// transfers across the worker channels, commit + broadcast the new
     /// assignment. Returns `None` when the phase decides not to
     /// repartition (too few scopes, empty plan, or nothing to move).
-    #[allow(clippy::type_complexity)]
-    fn qcut_barrier(
-        &mut self,
-        tracking: &mut FxHashMap<QueryId, QueryTracking>,
-        pool: &TaskPool<Cmd>,
-        msg_rx: &Receiver<CoordMsg>,
-        cs: &mut ClientState,
-        clock: &Clock,
-    ) -> Option<(IlsResult, Migration, f64, f64)> {
+    fn qcut_barrier(&mut self) -> Option<(IlsResult, Migration, f64, f64)> {
         let cfg = self.cfg.qcut.clone()?;
         let k = self.partitioning.num_workers();
-        let tasks = Arc::clone(&self.tasks);
         // Trigger evaluation only sees scopes within the monitoring
         // window — a burst of short queries followed by quiet must not
         // keep stale scopes feeding the ILS.
-        self.controller.expire(clock.now());
+        self.controller.expire(self.clock.now());
 
         // Aggregate per-scope statistics from the live query state.
         for w in 0..k {
-            self.hb.send_cmd(w);
-            pool.push(w, Cmd::ScopeReport);
+            self.lanes.cmd(w, Cmd::ScopeReport);
         }
         let mut scope_map: FxHashMap<(QueryId, usize), Vec<VertexId>> = FxHashMap::default();
         let mut per_query: FxHashMap<QueryId, Vec<VertexId>> = FxHashMap::default();
         for _ in 0..k {
-            match recv_worker(msg_rx, cs, &tasks, clock.now(), &self.hb) {
+            match self.cs.recv_worker(&self.tasks, self.clock.now(), &self.hb) {
                 Resp::Scopes { worker, scopes } => {
                     for (q, vs) in scopes {
-                        if !tracking.contains_key(&q) {
+                        if !self.tracking.contains_key(&q) {
                             continue;
                         }
                         per_query.entry(q).or_default().extend(vs.iter().copied());
@@ -1901,6 +1674,7 @@ impl Coordinator {
         // finished queries from the controller's retained scopes.
         let migration = {
             let controller = &self.controller;
+            let tracking = &self.tracking;
             let mut scope_of = |q: QueryId, w: usize| -> Vec<VertexId> {
                 if tracking.contains_key(&q) {
                     scope_map.get(&(q, w)).cloned().unwrap_or_default()
@@ -1917,9 +1691,10 @@ impl Coordinator {
             return None;
         }
         let observed = self.controller.observed_scopes(&live);
-        // Cloned out so the closure does not re-borrow `self` while
+        // Split borrows: the closure drives the worker channels while
         // `self.partitioning` is mutably held by `apply_measured`.
-        let hb = self.hb.clone();
+        let (lanes, cs, tracking) = (&self.lanes, &mut self.cs, &mut self.tracking);
+        let (tasks, hb, clock) = (&self.tasks, &self.hb, &self.clock);
         let (locality_before, locality_after) =
             migrate::apply_measured(&migration, &mut self.partitioning, &observed, || {
                 // Migrate vertex ownership and in-flight program state
@@ -1930,17 +1705,11 @@ impl Coordinator {
                 // vertex sets are pairwise disjoint — an inject can never
                 // overlap a still-queued extract on the same worker.
                 for (token, mv) in migration.moves.iter().enumerate() {
-                    hb.send_cmd(mv.from);
-                    pool.push(
-                        mv.from,
-                        Cmd::Extract {
-                            token,
-                            vertices: mv.vertices.clone(),
-                        },
-                    );
+                    let vertices = mv.vertices.clone();
+                    lanes.cmd(mv.from, Cmd::Extract { token, vertices });
                 }
                 for _ in 0..migration.moves.len() {
-                    let (token, data) = match recv_worker(msg_rx, cs, &tasks, clock.now(), &hb) {
+                    let (token, data) = match cs.recv_worker(tasks, clock.now(), hb) {
                         Resp::Extracted { token, data } => (token, data),
                         _ => unreachable!("quiesced workers only answer the extract"),
                     };
@@ -1951,8 +1720,7 @@ impl Coordinator {
                         }
                     }
                     if !data.is_empty() {
-                        hb.send_cmd(mv.to);
-                        pool.push(mv.to, Cmd::Inject { data });
+                        lanes.cmd(mv.to, Cmd::Inject { data });
                     }
                 }
             });
@@ -1963,7 +1731,9 @@ impl Coordinator {
         let shared = Arc::new(self.partitioning.clone());
         for w in 0..k {
             self.hb.send_partitioning(w, pv);
-            pool.push(w, Cmd::SetPartitioning(Arc::clone(&shared)));
+            self.lanes
+                .pool
+                .push(w, Cmd::SetPartitioning(Arc::clone(&shared)));
         }
         Some((result, migration, locality_before, locality_after))
     }
@@ -2057,18 +1827,14 @@ fn handle_cmd(
                 ctx.worker
                     .execute(q, task.as_ref(), &ctx.topology, &prev_agg, &route);
             executed_n = stats.executed as u64;
-            let self_pending = ctx.worker.has_pending(q);
-            Some(Resp::StepDone {
+            Some(Resp::StepDone(StepDone {
                 q,
-                executed: stats.executed,
-                remote_sent: stats.remote_deliveries as u64,
-                remote_pre: stats.remote_pre_combine as u64,
-                remote_batches: stats.remote_batches as u64,
+                worker: w,
+                stats,
                 agg,
                 remote,
-                self_pending,
-                worker: w,
-            })
+                self_pending: ctx.worker.has_pending(q),
+            }))
         }
         Cmd::Collect { q } => {
             let local = ctx.worker.take_local(q);
