@@ -37,16 +37,13 @@ pub(crate) enum Admission {
     Traverse(Vec<(usize, MessageBatch)>),
 }
 
-/// One admitted query's runtime-independent bookkeeping. No program
-/// types appear here — aggregates travel as [`Envelope`]s.
+/// One query's runtime-independent bookkeeping. No program types appear
+/// here — aggregates travel as [`Envelope`]s.
 pub(crate) struct QueryLedger {
     pub task: Arc<dyn QueryTask>,
-    /// Arrival: when the query entered the admission queue.
-    pub queued_at: SimTime,
-    /// Admission: when a closed-loop slot freed and execution began.
-    submitted_at: SimTime,
-    /// Graph epoch at admission (outcome attribution).
-    first_epoch: u64,
+    /// The outcome the query will report: arrival and admission stamps,
+    /// first epoch, and the work counters folded in as it runs.
+    pub outcome: QueryOutcome,
     /// Degree-of-parallelism budget ([`crate::DopPolicy::budget`], fixed
     /// at admission): at most this many of a superstep's per-partition
     /// tasks run concurrently.
@@ -65,42 +62,21 @@ pub(crate) struct QueryLedger {
     pub agg_prev: Envelope,
     /// The current superstep's aggregate, folded per task.
     agg_acc: Envelope,
-    iterations: u32,
-    local_iterations: u32,
-    vertex_updates: u64,
-    remote_messages: u64,
-    remote_messages_pre_combine: u64,
-    remote_batches: u64,
-    /// Per-(query, partition) compute tasks released so far.
-    tasks: u64,
-    /// Max over supersteps of `min(dop, involved)` — the parallelism the
-    /// budget actually bought.
-    effective_dop: u32,
 }
 
 impl QueryLedger {
-    /// A query that arrived at `queued_at` and waits for admission.
-    pub fn new(task: Arc<dyn QueryTask>, queued_at: SimTime) -> Self {
+    /// Query `id`, arrived at `queued_at`, waiting for admission.
+    pub fn new(task: Arc<dyn QueryTask>, id: QueryId, queued_at: SimTime) -> Self {
         QueryLedger {
+            outcome: QueryOutcome::zero(id, task.program_name(), queued_at, 0),
             agg_prev: task.aggregate_identity(),
             agg_acc: task.aggregate_identity(),
             task,
-            queued_at,
-            submitted_at: SimTime::ZERO,
-            first_epoch: 0,
             dop: 1,
             deferred: VecDeque::new(),
             remaining: 0,
             involved: 0,
             crossed: false,
-            iterations: 0,
-            local_iterations: 0,
-            vertex_updates: 0,
-            remote_messages: 0,
-            remote_messages_pre_combine: 0,
-            remote_batches: 0,
-            tasks: 0,
-            effective_dop: 0,
         }
     }
 
@@ -120,8 +96,8 @@ impl QueryLedger {
         cfg: &SystemConfig,
         pool_width: usize,
     ) -> Admission {
-        self.submitted_at = now;
-        self.first_epoch = topology.epoch();
+        self.outcome.submitted_at = now;
+        self.outcome.first_epoch = topology.epoch();
         self.dop = cfg.dop.budget(self.task.as_ref(), pool_width).max(1);
         let task = self.task.as_ref();
         if let Some(output) = crate::sched::try_index_path(task, index, topology.epoch()) {
@@ -140,8 +116,8 @@ impl QueryLedger {
         self.involved = involved.len();
         self.remaining = involved.len();
         self.crossed = false;
-        self.tasks += involved.len() as u64;
-        self.effective_dop = self.effective_dop.max(now as u32);
+        self.outcome.tasks += involved.len() as u64;
+        self.outcome.effective_dop = self.outcome.effective_dop.max(now as u32);
         self.deferred.extend(&involved[now..]);
         now
     }
@@ -151,10 +127,11 @@ impl QueryLedger {
     /// releases — even mid stop-the-world drain, because the superstep
     /// must complete before the query can park at its barrier.
     pub fn task_done(&mut self, stats: &SuperstepStats, agg: &Envelope) -> Option<usize> {
-        self.vertex_updates += stats.executed as u64;
-        self.remote_messages += stats.remote_deliveries as u64;
-        self.remote_messages_pre_combine += stats.remote_pre_combine as u64;
-        self.remote_batches += stats.remote_batches as u64;
+        let o = &mut self.outcome;
+        o.vertex_updates += stats.executed as u64;
+        o.remote_messages += stats.remote_deliveries as u64;
+        o.remote_messages_pre_combine += stats.remote_pre_combine as u64;
+        o.remote_batches += stats.remote_batches as u64;
         self.crossed |= stats.remote_deliveries > 0;
         self.task.aggregate_combine(&mut self.agg_acc, agg);
         self.remaining -= 1;
@@ -171,9 +148,9 @@ impl QueryLedger {
             "superstep barrier with deferred tasks unreleased"
         );
         let is_local = self.involved <= 1 && !self.crossed;
-        self.iterations += 1;
+        self.outcome.iterations += 1;
         if is_local {
-            self.local_iterations += 1;
+            self.outcome.local_iterations += 1;
         }
         let combined = std::mem::replace(&mut self.agg_acc, self.task.aggregate_identity());
         if self.task.aggregate_sticky() {
@@ -187,12 +164,6 @@ impl QueryLedger {
         )
     }
 
-    /// Local supersteps over all supersteps so far (`None` before the
-    /// first barrier).
-    pub fn locality(&self) -> Option<f64> {
-        (self.iterations > 0).then(|| self.local_iterations as f64 / self.iterations as f64)
-    }
-
     /// The previous superstep's aggregate, cloned for one step task.
     pub fn prev_aggregate(&self) -> Envelope {
         self.task.clone_aggregate(&self.agg_prev)
@@ -202,33 +173,19 @@ impl QueryLedger {
     /// vertices against graph epoch `last_epoch`. An index-served query,
     /// or one with no initial messages, has done no work, so its counters
     /// are still zero.
-    pub fn outcome(
+    pub fn finish(
         &self,
-        id: QueryId,
         served_by: ServedBy,
         at: SimTime,
         scope_size: u64,
         last_epoch: u64,
     ) -> QueryOutcome {
         QueryOutcome {
-            id,
-            program: self.task.program_name(),
-            status: OutcomeStatus::Completed,
             served_by,
-            queued_at: self.queued_at,
-            submitted_at: self.submitted_at,
             completed_at: at,
-            iterations: self.iterations,
-            local_iterations: self.local_iterations,
-            vertex_updates: self.vertex_updates,
-            remote_messages: self.remote_messages,
-            remote_messages_pre_combine: self.remote_messages_pre_combine,
-            remote_batches: self.remote_batches,
             scope_size,
-            tasks: self.tasks,
-            effective_dop: self.effective_dop,
-            first_epoch: self.first_epoch,
             last_epoch,
+            ..self.outcome
         }
     }
 }

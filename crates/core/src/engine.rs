@@ -337,7 +337,7 @@ impl SimEngine {
             .map(|d| arrival + SimTime::from_secs_f64(d));
         let program = task.program_name();
         self.queries.push(QueryRun {
-            ledger: QueryLedger::new(task, arrival),
+            ledger: QueryLedger::new(task, id, arrival),
             status: QueryStatus::Queued,
             deadline,
             involved_cur: Vec::new(),
@@ -522,7 +522,7 @@ impl SimEngine {
     /// resident one — `dispatch_pending` is gated on `paused`.
     fn on_arrival(&mut self, q: QueryId) {
         let run = &self.queries[q.index()];
-        let at = run.ledger.queued_at;
+        let at = run.ledger.outcome.queued_at;
         self.tracer.admitted(at.as_secs_f64(), u64::from(q.0));
         if !self
             .scheduler
@@ -540,7 +540,10 @@ impl SimEngine {
         let epoch = self.topology.epoch();
         let run = &mut self.queries[q.index()];
         debug_assert_eq!(run.status, QueryStatus::Queued);
-        debug_assert_eq!(run.ledger.queued_at, at, "rejections happen at arrival");
+        debug_assert_eq!(
+            run.ledger.outcome.queued_at, at,
+            "rejections happen at arrival"
+        );
         run.status = QueryStatus::Finished;
         let outcome = QueryOutcome::rejected(q, run.ledger.task.program_name(), at, epoch);
         record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
@@ -572,7 +575,7 @@ impl SimEngine {
             Admission::Indexed(output) => {
                 run.status = QueryStatus::Finished;
                 let epoch = self.topology.epoch();
-                let outcome = run.ledger.outcome(q, ServedBy::Index, now, 0, epoch);
+                let outcome = run.ledger.finish(ServedBy::Index, now, 0, epoch);
                 self.outputs.store(q, output);
                 record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
                 return;
@@ -921,7 +924,7 @@ impl SimEngine {
         }
         let ledger = &self.queries[q.index()].ledger;
         let epoch = self.topology.epoch();
-        let outcome = ledger.outcome(q, ServedBy::Traversal, at, scope.len() as u64, epoch);
+        let outcome = ledger.finish(ServedBy::Traversal, at, scope.len() as u64, epoch);
         self.outputs
             .store(q, ledger.task.finalize(&self.topology, locals));
         record_outcome(&mut self.report, &self.hb, &self.tracer, outcome);
@@ -959,11 +962,10 @@ impl SimEngine {
         let mut sum = 0.0;
         let mut n = 0usize;
         for run in &self.queries {
-            if let Some(l) = run.ledger.locality() {
-                if run.status == QueryStatus::Running {
-                    sum += l;
-                    n += 1;
-                }
+            let o = &run.ledger.outcome;
+            if run.status == QueryStatus::Running && o.iterations > 0 {
+                sum += o.local_iterations as f64 / o.iterations as f64;
+                n += 1;
             }
         }
         if n == 0 {
@@ -1018,16 +1020,19 @@ impl SimEngine {
             return;
         }
         self.plan_ready = true;
-        if self.paused {
-            // A mutation barrier is already stopping the world; its apply
-            // phase (or the re-entry check at its end) consumes the plan.
-            return;
+        // A mutation barrier already stopping the world consumes the plan
+        // in its apply phase (or the re-entry check at its end).
+        if !self.paused {
+            self.stop_the_world();
         }
-        // STOP barrier: halt new releases/dispatches, drain in-flight
-        // supersteps, then migrate.
+    }
+
+    /// STOP barrier: halt new releases/dispatches and drain in-flight
+    /// supersteps; the apply phase starts once the workers are quiescent.
+    fn stop_the_world(&mut self) {
         self.paused = true;
         self.awaiting_quiesce = true;
-        self.maybe_quiesced(now);
+        self.maybe_quiesced(self.events.now());
     }
 
     /// A mutation batch's virtual time arrived: join (or open) the
@@ -1037,9 +1042,7 @@ impl SimEngine {
         // Each batch falls due exactly once (one MutationDue per batch).
         self.due_mutations.extend(self.mutations[m].take());
         if !self.paused {
-            self.paused = true;
-            self.awaiting_quiesce = true;
-            self.maybe_quiesced(self.events.now());
+            self.stop_the_world();
         }
     }
 
@@ -1086,15 +1089,15 @@ impl SimEngine {
         let qcut_from = now + barrier_cost;
 
         // Phase 2: the repartition plan, once its ILS budget elapsed.
-        let mut repartition: Option<(IlsResult, SimTime, usize, f64, f64)> = None;
         // `plan_ready` is only set while `pending_plan` is populated
-        // (on_ils_ready clears both together), hence the paired pattern.
-        if let Some((result, triggered_at)) = if self.plan_ready {
-            self.plan_ready = false;
+        // (on_ils_ready clears both together).
+        let plan = if self.plan_ready {
             self.pending_plan.take()
         } else {
             None
-        } {
+        };
+        self.plan_ready = false;
+        if let Some((result, triggered_at)) = plan {
             // Resolve the plan against the quiesced workers: a live
             // query's current local scope, or a finished query's retained
             // scope (the resolver's ownership filter restricts it to the
@@ -1152,34 +1155,22 @@ impl SimEngine {
                     .max()
                     .unwrap_or(SimTime::ZERO);
                 barrier_cost += duration;
-                repartition = Some((
-                    result,
-                    triggered_at,
-                    migration.moved_vertices,
+                self.tracer.qcut_begin(qcut_from.as_secs_f64());
+                self.tracer.qcut_end((now + barrier_cost).as_secs_f64());
+                self.report.repartitions.push(RepartitionEvent {
+                    triggered_at: triggered_at.as_secs_f64(),
+                    applied_at: now.as_secs_f64(),
+                    barrier_duration: (barrier_cost + self.max_control_cost()).as_secs_f64(),
+                    moved_vertices: migration.moved_vertices,
                     locality_before,
                     locality_after,
-                ));
+                    ils: result,
+                });
             }
         }
 
         let end = now + barrier_cost + self.max_control_cost();
-        let barrier_duration = (end - now).as_secs_f64();
-        apply.close(&mut self.report, barrier_duration);
-        if let Some((result, triggered_at, moved_vertices, locality_before, locality_after)) =
-            repartition
-        {
-            self.tracer.qcut_begin(qcut_from.as_secs_f64());
-            self.tracer.qcut_end((now + barrier_cost).as_secs_f64());
-            self.report.repartitions.push(RepartitionEvent {
-                triggered_at: triggered_at.as_secs_f64(),
-                applied_at: now.as_secs_f64(),
-                barrier_duration,
-                moved_vertices,
-                locality_before,
-                locality_after,
-                ils: result,
-            });
-        }
+        apply.close(&mut self.report, (end - now).as_secs_f64());
         self.events.schedule(end, Event::GlobalBarrierEnd);
     }
 
@@ -1203,9 +1194,7 @@ impl SimEngine {
         // mutation falling due between apply and end, or an ILS budget
         // elapsing) re-enters the stop-the-world phase immediately.
         if !self.due_mutations.is_empty() || self.plan_ready {
-            self.paused = true;
-            self.awaiting_quiesce = true;
-            self.maybe_quiesced(self.events.now());
+            self.stop_the_world();
         }
     }
 

@@ -177,15 +177,14 @@ pub struct QueryOutcome {
 }
 
 impl QueryOutcome {
-    /// The outcome of a submission the bounded admission queue bounced
-    /// at `at`: zero work, every lifecycle timestamp pinned to the
-    /// arrival instant, no output — the one shape both runtimes record
-    /// for backpressure rejections.
-    pub fn rejected(id: QueryId, program: &'static str, at: SimTime, epoch: u64) -> Self {
+    /// A completed traversal that has done no work: zero counters, every
+    /// lifecycle timestamp at `at`, both epochs `epoch`. The runtimes'
+    /// query ledger starts from this and folds each query's work in.
+    pub(crate) fn zero(id: QueryId, program: &'static str, at: SimTime, epoch: u64) -> Self {
         QueryOutcome {
             id,
             program,
-            status: OutcomeStatus::Rejected,
+            status: OutcomeStatus::Completed,
             served_by: ServedBy::Traversal,
             queued_at: at,
             submitted_at: at,
@@ -201,6 +200,17 @@ impl QueryOutcome {
             effective_dop: 0,
             first_epoch: epoch,
             last_epoch: epoch,
+        }
+    }
+
+    /// The outcome of a submission the bounded admission queue bounced
+    /// at `at`: zero work, every lifecycle timestamp pinned to the
+    /// arrival instant, no output — the one shape both runtimes record
+    /// for backpressure rejections.
+    pub fn rejected(id: QueryId, program: &'static str, at: SimTime, epoch: u64) -> Self {
+        QueryOutcome {
+            status: OutcomeStatus::Rejected,
+            ..Self::zero(id, program, at, epoch)
         }
     }
 

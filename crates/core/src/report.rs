@@ -117,6 +117,19 @@ pub struct PoolCounters {
     pub idle_waits: u64,
 }
 
+/// How much of a report's append-only logs a reader has already seen
+/// (see [`EngineReport::delta_since`]).
+#[derive(Clone, Copy, Default)]
+pub(crate) struct ReportMarks {
+    outcomes: usize,
+    activity: usize,
+    repartitions: usize,
+    mutations: usize,
+    index_repairs: usize,
+    runs: usize,
+    trace: usize,
+}
+
 /// Everything measured over an engine's lifetime (cumulative across
 /// `run()` calls / serving drains; see [`EngineReport::runs`] for the
 /// per-run boundaries).
@@ -213,6 +226,54 @@ impl EngineReport {
     /// Queries that ran the full BSP traversal path.
     pub fn traversal_served(&self) -> usize {
         self.completed().filter(|o| !o.is_index_served()).count()
+    }
+
+    /// Lengths of the append-only logs: the baseline the next
+    /// [`EngineReport::delta_since`] is cut from.
+    pub(crate) fn marks(&self) -> ReportMarks {
+        ReportMarks {
+            outcomes: self.outcomes.len(),
+            activity: self.activity.len(),
+            repartitions: self.repartitions.len(),
+            mutations: self.mutations.len(),
+            index_repairs: self.index_repairs.len(),
+            runs: self.runs.len(),
+            trace: self.trace.len(),
+        }
+    }
+
+    /// The log entries appended past `marks`, plus the current scalars —
+    /// what a serving drain ships, so a long-lived serve loop with
+    /// periodic drains stays linear in history instead of re-cloning
+    /// everything each time.
+    pub(crate) fn delta_since(&self, marks: ReportMarks) -> EngineReport {
+        EngineReport {
+            outcomes: self.outcomes[marks.outcomes..].to_vec(),
+            activity: self.activity[marks.activity..].to_vec(),
+            repartitions: self.repartitions[marks.repartitions..].to_vec(),
+            mutations: self.mutations[marks.mutations..].to_vec(),
+            index_repairs: self.index_repairs[marks.index_repairs..].to_vec(),
+            runs: self.runs[marks.runs..].to_vec(),
+            finished_at_secs: self.finished_at_secs,
+            pool: self.pool,
+            admission_policy: self.admission_policy.clone(),
+            trace: self.trace.delta_since(marks.trace),
+        }
+    }
+
+    /// Append a [`EngineReport::delta_since`] cut from a report this one
+    /// is an identical prefix of, reconstituting the cumulative report.
+    pub(crate) fn append(&mut self, delta: EngineReport) {
+        self.outcomes.extend(delta.outcomes);
+        self.activity.extend(delta.activity);
+        self.repartitions.extend(delta.repartitions);
+        self.mutations.extend(delta.mutations);
+        self.index_repairs.extend(delta.index_repairs);
+        self.runs.extend(delta.runs);
+        self.trace.merge(delta.trace);
+        self.finished_at_secs = delta.finished_at_secs;
+        self.pool = delta.pool;
+        self.admission_policy = delta.admission_policy;
     }
 
     /// Close the current run window at `finished_at_secs`: every outcome

@@ -110,15 +110,15 @@ use crate::config::SystemConfig;
 use crate::control::{record_outcome, Admission, Outputs, QueryLedger};
 use crate::controller::{apply_mutation_epochs, Controller};
 use crate::hb::{kind, Hb};
-use crate::index_plane::{IndexRepairEvent, PointIndex};
+use crate::index_plane::PointIndex;
 use crate::pool::TaskPool;
 use crate::program::VertexProgram;
 use crate::qcut::{migrate, run_qcut, IlsResult, Migration};
 use crate::query::{QueryHandle, QueryId, QueryOutcome, ServedBy};
-use crate::report::{ActivitySample, EngineReport, MutationEvent, PoolCounters, RepartitionEvent};
+use crate::report::{ActivitySample, EngineReport, PoolCounters, RepartitionEvent, ReportMarks};
 use crate::sched::{QueueEntry, Scheduler};
 use crate::task::{Envelope, MessageBatch, QueryTask, TypedTask};
-use crate::trace::{cmd, TraceData, Tracer};
+use crate::trace::{cmd, Tracer};
 use crate::worker::{LocalState, SuperstepStats, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
@@ -240,55 +240,13 @@ enum CoordMsg {
     Shutdown,
 }
 
-/// The state a drain hands back to the engine: only the report entries
-/// appended since the previous drain (the engine holds an identical
-/// prefix, so appending the delta reconstitutes the cumulative report —
-/// a long-lived serve loop with periodic drains stays linear in history
-/// instead of re-cloning everything each time).
+/// The state a drain hands back to the engine: the report delta since
+/// the previous drain (the engine holds an identical prefix, so appending
+/// it reconstitutes the cumulative report) plus the current layout.
 struct Snapshot {
-    new_outcomes: Vec<QueryOutcome>,
-    new_activity: Vec<ActivitySample>,
-    new_repartitions: Vec<RepartitionEvent>,
-    new_mutations: Vec<MutationEvent>,
-    new_index_repairs: Vec<IndexRepairEvent>,
-    new_runs: Vec<crate::report::RunSummary>,
-    finished_at_secs: f64,
+    report: EngineReport,
     partitioning: Partitioning,
     topology: Topology,
-    /// Cumulative pool counters (overwritten, not appended — the
-    /// coordinator folds the previous sessions' totals in).
-    pool: PoolCounters,
-    /// Trace events appended since the previous drain (zero-sized
-    /// without the `trace` feature; see [`crate::trace::TraceData`]).
-    new_trace: TraceData,
-    admission_policy: String,
-}
-
-/// How much of the coordinator's report the engine has already seen
-/// (delta baseline for the next drain snapshot).
-#[derive(Clone, Copy, Default)]
-struct SyncMarks {
-    outcomes: usize,
-    activity: usize,
-    repartitions: usize,
-    mutations: usize,
-    index_repairs: usize,
-    runs: usize,
-    trace: usize,
-}
-
-impl SyncMarks {
-    fn of(report: &EngineReport) -> Self {
-        SyncMarks {
-            outcomes: report.outcomes.len(),
-            activity: report.activity.len(),
-            repartitions: report.repartitions.len(),
-            mutations: report.mutations.len(),
-            index_repairs: report.index_repairs.len(),
-            runs: report.runs.len(),
-            trace: report.trace.len(),
-        }
-    }
 }
 
 /// One finished query's output, streamed back to the engine.
@@ -486,13 +444,6 @@ struct Serving {
     handle: thread::JoinHandle<CoordinatorExit>,
 }
 
-/// Submissions and mutations made before `start`, forwarded in order
-/// when serving begins.
-enum PreOp {
-    Submit(QueryId, Option<f64>),
-    Mutate(GraphMutationBatch),
-}
-
 /// The multi-threaded runtime: an elastic pool of OS threads executing
 /// per-partition tasks plus a coordinator thread serving an open-ended
 /// query stream, with the same submit/run/output lifecycle as the
@@ -517,7 +468,7 @@ pub struct ThreadEngine {
     outputs: Outputs,
     /// Submissions/mutations made before `start` (forwarded in order when
     /// serving begins).
-    pre_ops: Vec<PreOp>,
+    pre_ops: Vec<CoordMsg>,
     /// The point-query label index, present while *not* serving; moved
     /// into the coordinator for the session (which repairs it at mutation
     /// barriers and serves eligible queries from it) and handed back at
@@ -623,12 +574,7 @@ impl ThreadEngine {
         if let Err(e) = batch.validate() {
             panic!("rejected mutation batch: {e}");
         }
-        match &self.serving {
-            Some(s) => {
-                let _ = s.tx.send(CoordMsg::Mutate(batch));
-            }
-            None => self.pre_ops.push(PreOp::Mutate(batch)),
-        }
+        self.send(CoordMsg::Mutate(batch));
     }
 
     /// Enqueue a query of any program type; it starts as soon as a
@@ -662,13 +608,18 @@ impl ThreadEngine {
         deadline_secs: Option<f64>,
     ) -> QueryId {
         let q = register_task(&self.tasks, task);
+        self.send(CoordMsg::Submit { q, deadline_secs });
+        q
+    }
+
+    /// Send `msg` to the coordinator, or hold it until `start`.
+    fn send(&mut self, msg: CoordMsg) {
         match &self.serving {
             Some(s) => {
-                let _ = s.tx.send(CoordMsg::Submit { q, deadline_secs });
+                let _ = s.tx.send(msg);
             }
-            None => self.pre_ops.push(PreOp::Submit(q, deadline_secs)),
+            None => self.pre_ops.push(msg),
         }
-        q
     }
 
     /// Start serving: spawn the elastic pool threads and the coordinator
@@ -780,12 +731,10 @@ impl ThreadEngine {
             done_tx,
             tracking: FxHashMap::default(),
             parked: Vec::new(),
-            in_flight: 0,
             pool_base: self.report.pool,
-            pool_tasks: self.report.pool.tasks,
             // The current run window opens where the previous one closed.
             run_started: clock.base,
-            synced: SyncMarks::of(&self.report),
+            synced: self.report.marks(),
             window_supersteps: 0,
             worker_activity: vec![0; k],
             repart_triggered_at: None,
@@ -793,11 +742,8 @@ impl ThreadEngine {
         };
         let handle = thread::spawn(move || coordinator.serve());
 
-        for op in std::mem::take(&mut self.pre_ops) {
-            let _ = msg_tx.send(match op {
-                PreOp::Submit(q, deadline_secs) => CoordMsg::Submit { q, deadline_secs },
-                PreOp::Mutate(batch) => CoordMsg::Mutate(batch),
-            });
+        for msg in std::mem::take(&mut self.pre_ops) {
+            let _ = msg_tx.send(msg);
         }
         self.serving = Some(Serving {
             tx: msg_tx,
@@ -850,16 +796,7 @@ impl ThreadEngine {
             }
             unreachable!("coordinator exited without acking the drain");
         };
-        self.report.outcomes.extend(snapshot.new_outcomes);
-        self.report.activity.extend(snapshot.new_activity);
-        self.report.repartitions.extend(snapshot.new_repartitions);
-        self.report.mutations.extend(snapshot.new_mutations);
-        self.report.index_repairs.extend(snapshot.new_index_repairs);
-        self.report.runs.extend(snapshot.new_runs);
-        self.report.trace.merge(snapshot.new_trace);
-        self.report.finished_at_secs = snapshot.finished_at_secs;
-        self.report.pool = snapshot.pool;
-        self.report.admission_policy = snapshot.admission_policy;
+        self.report.append(snapshot.report);
         self.partitioning = snapshot.partitioning;
         self.topology = snapshot.topology;
         self.sync_outputs();
@@ -1052,18 +989,15 @@ struct Coordinator {
     /// Queries parked at their barrier by a pending stop-the-world phase,
     /// with the workers their next superstep involves.
     parked: Vec<(QueryId, Vec<usize>)>,
-    /// Closed-loop slots taken.
-    in_flight: usize,
     /// Pool counters carried into the session: this session's `TaskPool`
-    /// starts its own stats at zero, so the report's totals fold these in.
+    /// starts its own stats at zero, so the report's totals fold these in
+    /// (step tasks count straight into `report.pool.tasks`).
     pool_base: PoolCounters,
-    /// Step tasks completed over the engine's lifetime.
-    pool_tasks: u64,
     /// Where the current run window opened.
     run_started: f64,
     /// The engine holds an identical report prefix; drains ship only what
     /// was appended past these marks.
-    synced: SyncMarks,
+    synced: ReportMarks,
     /// Supersteps completed and vertex updates per worker in the current
     /// trigger window.
     window_supersteps: usize,
@@ -1171,12 +1105,9 @@ impl Coordinator {
     /// exit value always carry current totals).
     fn sync_pool_counters(&mut self) {
         let ps = self.lanes.pool.stats();
-        self.report.pool = PoolCounters {
-            threads: self.lanes.pool.width(),
-            tasks: self.pool_tasks,
-            steals: self.pool_base.steals + ps.steals,
-            idle_waits: self.pool_base.idle_waits + ps.idle_waits,
-        };
+        self.report.pool.threads = self.lanes.pool.width();
+        self.report.pool.steals = self.pool_base.steals + ps.steals;
+        self.report.pool.idle_waits = self.pool_base.idle_waits + ps.idle_waits;
     }
 
     /// Admit waiting queries into free closed-loop slots (held back while
@@ -1185,25 +1116,24 @@ impl Coordinator {
     fn admit(&mut self) {
         while !self.stop_pending()
             && !self.cs.shutdown
-            && self.in_flight < self.cfg.max_parallel_queries.max(1)
+            && self.tracking.len() < self.cfg.max_parallel_queries.max(1)
         {
             let Some(entry) = self.cs.scheduler.pop() else {
                 break;
             };
-            if self.start_query(entry) {
-                self.in_flight += 1;
-            }
+            self.start_query(entry);
         }
     }
 
     /// Closed-loop seeding: start a query popped from the admission
-    /// queue. Returns false if it finished on the spot (index-served, or
-    /// no initial messages: finalized over the empty state set).
-    fn start_query(&mut self, entry: QueueEntry) -> bool {
+    /// queue. An index-served query, or one with no initial messages
+    /// (finalized over the empty state set), finishes on the spot and
+    /// takes no slot.
+    fn start_query(&mut self, entry: QueueEntry) {
         let q = entry.q;
         let now = self.clock.now();
         let task = Arc::clone(&reg_read(&self.tasks)[q.index()]);
-        let mut ledger = QueryLedger::new(task, entry.enqueued_at);
+        let mut ledger = QueryLedger::new(task, q, entry.enqueued_at);
         let admission = ledger.admit(
             now,
             &self.topology,
@@ -1215,16 +1145,13 @@ impl Coordinator {
         let epoch = self.topology.epoch();
         let batches = match admission {
             Admission::Indexed(output) => {
-                self.complete(ledger.outcome(q, ServedBy::Index, now, 0, epoch), output);
-                return false;
+                self.complete(ledger.finish(ServedBy::Index, now, 0, epoch), output);
+                return;
             }
             Admission::Traverse(batches) if batches.is_empty() => {
                 let output = ledger.task.finalize(&self.topology, Vec::new());
-                self.complete(
-                    ledger.outcome(q, ServedBy::Traversal, now, 0, epoch),
-                    output,
-                );
-                return false;
+                self.complete(ledger.finish(ServedBy::Traversal, now, 0, epoch), output);
+                return;
             }
             Admission::Traverse(batches) => batches,
         };
@@ -1245,7 +1172,6 @@ impl Coordinator {
         }
         self.tracking.insert(q, t);
         self.release(q, &involved, now);
-        true
     }
 
     /// Release query `q`'s next superstep to the given involved workers —
@@ -1305,7 +1231,7 @@ impl Coordinator {
             self_pending,
         } = done;
         self.lanes.inflight -= 1;
-        self.pool_tasks += 1;
+        self.report.pool.tasks += 1;
         self.hb.token_close(q.0, kind::STEP);
         self.report.activity.push(ActivitySample {
             t: now.as_secs_f64(),
@@ -1427,11 +1353,8 @@ impl Coordinator {
             self.controller.expire(now);
         }
         let epoch = self.topology.epoch();
-        let outcome = t
-            .ledger
-            .outcome(q, ServedBy::Traversal, now, scope_size, epoch);
+        let outcome = t.ledger.finish(ServedBy::Traversal, now, scope_size, epoch);
         self.complete(outcome, t.ledger.task.finalize(&self.topology, t.locals));
-        self.in_flight -= 1;
         // Closed loop: admit the next waiting query (held back while a
         // stop-the-world phase is pending).
         self.admit();
@@ -1580,22 +1503,12 @@ impl Coordinator {
             // Only the delta past the engine's synced prefix; a second
             // waiter in the same idle moment gets an empty one (its
             // engine-side state is already current).
-            let synced = self.synced;
             let _ = ack.send(Snapshot {
-                new_outcomes: self.report.outcomes[synced.outcomes..].to_vec(),
-                new_activity: self.report.activity[synced.activity..].to_vec(),
-                new_repartitions: self.report.repartitions[synced.repartitions..].to_vec(),
-                new_mutations: self.report.mutations[synced.mutations..].to_vec(),
-                new_index_repairs: self.report.index_repairs[synced.index_repairs..].to_vec(),
-                new_runs: self.report.runs[synced.runs..].to_vec(),
-                new_trace: self.report.trace.delta_since(synced.trace),
-                finished_at_secs: self.report.finished_at_secs,
+                report: self.report.delta_since(self.synced),
                 partitioning: self.partitioning.clone(),
                 topology: self.topology.clone(),
-                pool: self.report.pool,
-                admission_policy: self.report.admission_policy.clone(),
             });
-            self.synced = SyncMarks::of(&self.report);
+            self.synced = self.report.marks();
         }
     }
 
