@@ -149,6 +149,7 @@ pub const RULES: &[Rule] = &[
         scope: &[
             "crates/core/src/runtime.rs",
             "crates/core/src/engine.rs",
+            "crates/core/src/control.rs",
             "crates/core/src/worker.rs",
         ],
         exempt: &[],

@@ -5,7 +5,9 @@
 //! limited barriers — but on OS threads with `std::sync::mpsc` channels.
 //! It demonstrates that the library is an executable system, and the
 //! integration tests use it to cross-validate the simulator: both runtimes
-//! must produce identical query outputs.
+//! must produce identical query outputs. The per-query bookkeeping is
+//! the simulator's too (`control.rs`); this module adds the wall
+//! clock, the pool transport, and the `qcut_interval` trigger.
 //!
 //! ## Morsel-style elastic execution
 //!
@@ -31,7 +33,7 @@
 //!
 //! ## Streaming submission and the serving loop
 //!
-//! The engine is *long-lived*: [`ThreadEngine::start`] spawns the worker
+//! The engine is *long-lived*: [`ThreadEngine::start`] spawns the pool
 //! threads plus a **coordinator** thread that owns the drive loop, and the
 //! engine then serves an open-ended query stream. Callers on any thread
 //! submit through a cloneable [`EngineClient`] handle *while supersteps
@@ -80,7 +82,7 @@
 //!    simulation.
 //! 3. **Migrate** — the resulting move plan is resolved into disjoint
 //!    vertex transfers by the shared [`qcut::migrate`] layer; each
-//!    transfer is extracted on its source worker thread and injected on
+//!    transfer is extracted on its source partition and injected on
 //!    its destination (vertex state *and* pending inboxes travel
 //!    together), then the new vertex→worker assignment is committed and
 //!    broadcast to every worker before anything resumes.
@@ -123,7 +125,7 @@ use crate::worker::{LocalState, SuperstepStats, Worker};
 
 /// The shared, growable task registry: submissions (engine or any client)
 /// append under the lock, which also allocates the dense [`QueryId`];
-/// worker threads resolve ids through it.
+/// pool threads resolve ids through it.
 type TaskRegistry = Arc<RwLock<Vec<Arc<dyn QueryTask>>>>;
 
 /// Read the registry, recovering from poisoning. The registry is
@@ -812,7 +814,7 @@ impl ThreadEngine {
         self.drain()
     }
 
-    /// Drain, then stop the coordinator and worker threads and take the
+    /// Drain, then stop the coordinator and pool threads and take the
     /// final report/partitioning/controller state back. The engine can be
     /// started again afterwards. A client submission racing the stop is
     /// still *executed* if the coordinator had already admitted it (its
