@@ -50,7 +50,7 @@ pub(crate) struct QueryLedger {
     dop: usize,
     /// Involved partitions of the current superstep whose dispatch is
     /// held back by the DoP budget; released one per completing task.
-    pub deferred: VecDeque<usize>,
+    deferred: VecDeque<usize>,
     /// Tasks of the current superstep not yet completed.
     pub remaining: usize,
     /// Partitions the current superstep runs on.
